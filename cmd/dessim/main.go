@@ -31,8 +31,8 @@ import (
 var (
 	circuitFlag = flag.String("circuit", "koggestone-64", "circuit spec: "+strings.Join(cspec.Known(), " | "))
 	engineFlag  = flag.String("engine", "hj", "engine: "+strings.Join(core.EngineNames(), " | "))
-	twWindow    = flag.Int64("tw-window", 0, "timewarp/tw-hj: speculation window (0 = unbounded)")
-	twSaveEvery = flag.Int("tw-save-every", 0, "tw-hj: incremental state-saving interval (save pre-state every Nth event; 0 = every event)")
+	twWindow    = flag.Int64("tw-window", 0, "timewarp/tw-hj: speculation window past a node's own earliest pending event (0 = none)")
+	twSaveEvery = flag.Int("tw-save-every", 0, "tw-hj: accepted for compatibility; pre-state is now saved on every event whatever the interval")
 	twAdaptive  = flag.Bool("tw-adaptive", false, "tw-hj: let the GVT sweep widen/narrow the speculation window from the observed rollback fraction")
 	workersFlag = flag.Int("workers", 0, "worker count for parallel engines (0 = GOMAXPROCS)")
 	partsFlag   = flag.Int("partitions", 0, "lp: logical-process count (0 = workers)")

@@ -56,18 +56,18 @@ type Options struct {
 	// protocol's backpressure path; the chaos tests run with capacity 1.
 	LPInboxCap int
 
-	// TimeWarpWindow bounds the optimistic engine's speculation: a node
+	// TimeWarpWindow bounds the optimistic engines' speculation: a node
 	// never runs more than this far ahead of its earliest pending event.
-	// Zero means unbounded (pure Time Warp). Ignored by other engines.
+	// Zero means no window (tw-hj still bounds itself to a few events past
+	// what its input ports vouch for). Ignored by other engines.
 	TimeWarpWindow int64
 
-	// TimeWarpSaveEvery is the optimistic engines' incremental state-saving
-	// interval: pre-event state is snapshotted into the rollback log only on
-	// every Nth processed event; a rollback between anchors coast-forwards
-	// by replaying the logged events from the nearest earlier anchor. 0 or
-	// 1 saves on every event (full state saving, the classic Jefferson
-	// scheme). Semantics-preserving: the committed results are identical
-	// for every interval. Honored by tw-hj; ignored by other engines.
+	// TimeWarpSaveEvery was tw-hj's incremental state-saving interval
+	// (pre-event state logged on every Nth event, rollback coast-forwarding
+	// from the nearest anchor). tw-hj's flat rollback record now carries
+	// the two-byte pre-state on every event, so the interval changes
+	// nothing; the field is still range-checked so existing callers and
+	// job specs keep working. Ignored by every other engine.
 	TimeWarpSaveEvery int
 
 	// TimeWarpAdaptive lets the barrier-free optimistic engine (tw-hj)

@@ -17,17 +17,10 @@ func TestSoakAllEnginesOnPaperCircuits(t *testing.T) {
 	cases := []struct {
 		c     *circuit.Circuit
 		waves int
-		// Deep multiplier trees are hostile to fine-grain optimism —
-		// every upstream glitch cascade invalidates downstream
-		// speculation, so both Time Warp engines roll back about as many
-		// events as they commit (DESIGN §16). One barrier-timewarp row
-		// keeps that regime covered; the tw-hj variants soak on the
-		// adders, where optimism actually pays.
-		skipTWHJ bool
 	}{
-		{circuit.TreeMultiplier(12), 1, true},
-		{circuit.KoggeStone(64), 3, false},
-		{circuit.KoggeStone(128), 2, false},
+		{circuit.TreeMultiplier(12), 1},
+		{circuit.KoggeStone(64), 3},
+		{circuit.KoggeStone(128), 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.c.Name, func(t *testing.T) {
@@ -41,15 +34,7 @@ func TestSoakAllEnginesOnPaperCircuits(t *testing.T) {
 			if err := VerifyAgainstOracle(tc.c, waves, period, ref); err != nil {
 				t.Fatal(err)
 			}
-			all := testEngines(4)
-			engines := all[:0:0]
-			for _, e := range all {
-				if tc.skipTWHJ && twhjName(e.Name()) {
-					continue
-				}
-				engines = append(engines, e)
-			}
-			engines = append(engines, NewTimeWarp(Options{Workers: 2}))
+			engines := append(testEngines(4), NewTimeWarp(Options{Workers: 2}))
 			for _, e := range engines {
 				res, err := e.Run(tc.c, stim)
 				if err != nil {
@@ -61,10 +46,4 @@ func TestSoakAllEnginesOnPaperCircuits(t *testing.T) {
 			}
 		})
 	}
-}
-
-// twhjName reports whether an engine name belongs to the barrier-free
-// optimistic family ("tw-hj", "tw-hj-w40", ...).
-func twhjName(name string) bool {
-	return name == "tw-hj" || (len(name) > 6 && name[:6] == "tw-hj-")
 }

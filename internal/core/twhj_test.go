@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"hjdes/internal/circuit"
 )
@@ -176,6 +177,48 @@ func TestTWHJOptionValidation(t *testing.T) {
 		var ee *EngineError
 		if !errors.As(err, &ee) || ee.Reason != FailConfig {
 			t.Fatalf("opts %+v: want FailConfig EngineError, got %v", opts, err)
+		}
+	}
+}
+
+// TestTWHJNoCliff pins the two circuits on which the engine used to run
+// away: the wide adder at one worker (depth-first scheduling delivers a
+// node's inputs one port at a time) and the deep multiplier at any worker
+// count (thousands of same-wave glitch events per port). Rolled-back work
+// must stay below committed work, and the run inside a wall-time ceiling
+// an order of magnitude above what it takes — the old behaviour missed
+// both by factors of 30 to 300.
+func TestTWHJNoCliff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-time ceilings are not meaningful under -short/-race runs")
+	}
+	for _, tc := range []struct {
+		c       *circuit.Circuit
+		waves   int
+		ceiling time.Duration
+	}{
+		{circuit.KoggeStone(64), 3, time.Second},
+		{circuit.TreeMultiplier(12), 1, 2 * time.Second},
+	} {
+		stim := circuit.VectorWaves(tc.c, randomWaves(tc.c, tc.waves, 71), tc.c.SettleTime()+10)
+		ref, err := NewSequential(Options{DiscardOutputs: true}).Run(tc.c, stim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			res, err := NewTWHJ(Options{Workers: workers, DiscardOutputs: true}).Run(tc.c, stim)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.c.Name, workers, err)
+			}
+			if res.TotalEvents != ref.TotalEvents {
+				t.Fatalf("%s workers=%d: committed %d events, seq %d", tc.c.Name, workers, res.TotalEvents, ref.TotalEvents)
+			}
+			if res.TimeWarp.Undone > res.TotalEvents {
+				t.Errorf("%s workers=%d: %d events undone to commit %d", tc.c.Name, workers, res.TimeWarp.Undone, res.TotalEvents)
+			}
+			if res.Elapsed > tc.ceiling {
+				t.Errorf("%s workers=%d: took %v, ceiling %v", tc.c.Name, workers, res.Elapsed, tc.ceiling)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -22,10 +23,10 @@ func init() { RegisterEngine("tw-hj", NewTWHJ) }
 // the hj work-stealing runtime. Where the barrier `timewarp` engine runs
 // BSP rounds — every node steps, then a global barrier computes GVT and
 // swaps message banks — tw-hj gives each circuit node its own logical
-// process running as an hj IndexedTask: events and anti-messages travel
+// process running as an hj IndexedTask: events and value fixes travel
 // through the same lock-free MPSC mailboxes the lp-hj engine uses, a
 // scheduled-flag dedup keeps at most one pending slice per node, and no
-// node ever waits for any other. GVT is computed asynchronously by a
+// node ever waits at a barrier. GVT is computed asynchronously by a
 // Mattern-style sweep goroutine off the critical path: each node
 // publishes a floor (the minimum timestamp it may still send at) and
 // sent/received message counts on padded atomics; when a double-read of
@@ -33,12 +34,20 @@ func init() { RegisterEngine("tw-hj", NewTWHJ) }
 // GVT, which drives fossil collection, commit, and the optimism
 // throttle. See DESIGN.md §16 for the safety argument.
 //
-// Two optimizations ride on the barrier-free core: incremental state
-// saving (Options.TimeWarpSaveEvery logs pre-state only at anchor
-// events, rollback coast-forwards from the nearest anchor) and adaptive
-// optimism throttling (Options.TimeWarpAdaptive lets the sweep widen or
-// narrow the effective TimeWarpWindow from the observed rollback
-// fraction). Both are semantics-preserving.
+// Four choices shape the per-node hot path (DESIGN §16). Pending events
+// live in per-port time-sorted arrays — processed prefix plus pending
+// suffix, so the next event is the smaller of two heads and a rollback
+// re-queues by moving an index. Cancellation is lazy: a rollback keeps
+// its send records, and re-execution sends a fix only where a value
+// changed. The rollback log is one flat 24-byte record per event whose
+// sends are derived from {emitBase, out}. And speculation is bounded: a
+// node runs at most twhjSpecAllowance events past the point its input
+// ports vouch for, which bounds the depth of every straggler rollback.
+//
+// Options.TimeWarpWindow and Options.TimeWarpAdaptive throttle further,
+// as before; Options.TimeWarpSaveEvery is accepted and validated but no
+// longer changes anything, since every record carries its 2-byte
+// pre-state.
 //
 // The engine implements ContextEngine, ProgressReporter, Diagnoser,
 // TraceSource and Checkpointer, so the full Supervise/Resilient stack
@@ -51,7 +60,8 @@ type twhjEngine struct {
 }
 
 // NewTWHJ returns the barrier-free optimistic engine.
-// Options.TimeWarpWindow bounds speculation (0 = unbounded).
+// Options.TimeWarpWindow, when positive, bounds how far a node runs ahead
+// of its own earliest pending event.
 func NewTWHJ(opts Options) Engine {
 	name := "tw-hj"
 	if opts.TimeWarpWindow > 0 {
@@ -103,25 +113,132 @@ func (e *twhjEngine) Diagnose() string {
 	return b.String()
 }
 
-// twMail / twMailbox instantiate the lp package's lock-free MPSC
-// mailbox for Time Warp traffic: one node carries one batch of
-// (positive or anti) events. Per-sender FIFO — push order preserved by
-// the drain reversal — is what guarantees a positive message always
-// arrives before its own anti-message.
+// twhjEvent is one tw-hj message. A positive (Fix false) announces a new
+// event on the receiver's port; a fix replaces the value of the event
+// with the same ID, which the receiver already holds. There is no bare
+// anti-message: every processed event emits exactly one event per fanout
+// edge at a fixed delay, so which events exist, and when, is fixed by the
+// stimulus — only values are ever speculative (DESIGN §16).
+type twhjEvent struct {
+	Time  int64
+	ID    int64 // node<<40 | emission sequence; position key within Time
+	Port  int32
+	Value circuit.Value
+	Fix   bool
+	// Spec marks a positive whose sender processed its cause beyond the
+	// sender's own safe horizon: it may yet be followed by earlier ones,
+	// so it does not advance the receiving port's clock.
+	Spec bool
+}
+
+// twhjMail / twhjMailbox instantiate the lp package's lock-free MPSC
+// mailbox for Time Warp traffic: one node carries one batch of events.
+// Per-sender FIFO — push order preserved by the drain reversal — is what
+// guarantees a positive always arrives before any fix that targets it.
 type (
-	twMail    = lp.Mail[[]twEvent]
-	twMailbox = lp.Mailbox[[]twEvent]
+	twhjMail    = lp.Mail[[]twhjEvent]
+	twhjMailbox = lp.Mailbox[[]twhjEvent]
 )
 
-// twhjRecord is one processed event in the rollback log. Under
-// incremental state saving only anchor records carry the pre-state;
-// rollback to a non-anchor record replays forward from the nearest
-// earlier anchor (coast-forward).
+// twhjPort is one input port's event sequence. A port has exactly one
+// sender and the mailbox is per-sender FIFO, so the whole sequence —
+// processed prefix evs[:head] plus pending suffix evs[head:] — stays
+// strictly sorted by (Time, ID) without a heap: popping the next event is
+// head++, and a rollback re-queues by head-- (the slot still holds the
+// event; the processed prefix is never modified).
+type twhjPort struct {
+	evs  []twhjEvent
+	head int
+	// clock is the time of the latest positive that was not sent
+	// speculatively (-1 before the first): the sender will send nothing
+	// earlier. want is how many positives are still to come.
+	clock int64
+	want  int64
+}
+
+func twhjBefore(a, b *twhjEvent) bool {
+	return a.Time < b.Time || (a.Time == b.Time && a.ID < b.ID)
+}
+
+// search returns the first index at or after from whose event is not
+// before ev in (Time, ID) order.
+func (p *twhjPort) search(from int, ev *twhjEvent) int {
+	lo, hi := from, len(p.evs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if twhjBefore(&p.evs[mid], ev) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// insert places a positive at its (Time, ID) position. In forward flow
+// that is the tail; after the sender re-executed around a straggler it
+// is mid-sequence, but never inside the processed prefix — the caller
+// has already rolled back everything later than ev.Time.
+func (p *twhjPort) insert(ev twhjEvent, paranoid bool) {
+	if paranoid && ev.Time < p.clock {
+		panic(fmt.Sprintf("tw-hj: port clock %d broken by a positive at t=%d id=%#x", p.clock, ev.Time, ev.ID))
+	}
+	p.want--
+	if !ev.Spec {
+		p.clock = max(p.clock, ev.Time)
+	}
+	k := len(p.evs)
+	if k == 0 || twhjBefore(&p.evs[k-1], &ev) {
+		p.evs = append(p.evs, ev)
+		return
+	}
+	i := p.search(p.head, &ev)
+	if paranoid {
+		if p.head > 0 && !twhjBefore(&p.evs[p.head-1], &ev) {
+			panic(fmt.Sprintf("tw-hj: port order violated: t=%d id=%#x sorts into the processed prefix", ev.Time, ev.ID))
+		}
+		if i < k && !twhjBefore(&ev, &p.evs[i]) {
+			panic(fmt.Sprintf("tw-hj: port order violated: duplicate t=%d id=%#x", ev.Time, ev.ID))
+		}
+	}
+	p.evs = append(p.evs, twhjEvent{})
+	copy(p.evs[i+1:], p.evs[i:])
+	p.evs[i] = ev
+}
+
+// find locates the event a fix targets. It must be present: its positive
+// came first through the same FIFO, and it cannot have been fossil
+// collected, because a node's GVT floor covers every send it may still
+// correct. A miss cannot be repaired, so it is checked unconditionally.
+func (p *twhjPort) find(ev *twhjEvent) int {
+	i := p.search(0, ev)
+	if i == len(p.evs) || p.evs[i].ID != ev.ID {
+		panic(fmt.Sprintf("tw-hj: fix for t=%d id=%#x has no target on port %d", ev.Time, ev.ID, ev.Port))
+	}
+	return i
+}
+
+// twhjRecord is one processed event in the rollback log. It is flat: the
+// event itself stays in its port's processed prefix, and the sends are
+// derivable — every gate event emits one event per fanout slot, at
+// time+lat, value out, with consecutive emission sequences from emitBase.
 type twhjRecord struct {
-	ev     twEvent
-	preVal [2]circuit.Value
-	hasPre bool
-	sends  []twSend
+	time     int64
+	emitBase int64 // 0 = no sends (output terminals)
+	port     uint8
+	val      circuit.Value    // the event's value (output history)
+	pre      [2]circuit.Value // input-wire state before the event
+	out      circuit.Value
+}
+
+// twhjSent is the send record of an undone event, kept for lazy
+// cancellation: the receivers still hold these emissions, and the next
+// event processed at the same send time takes the record over, sending a
+// fix only if its value differs.
+type twhjSent struct {
+	time int64 // send time
+	base int64
+	val  circuit.Value
 }
 
 // gvtCell is one node's GVT accounting, alone on its cache line: the
@@ -144,35 +261,39 @@ type twhjNode struct {
 	id     int32
 	home   int32 // home hj worker (submit-to-owner affinity)
 	kind   circuit.Kind
-	delay  int64
 	fanout []dest
 
-	inputQ    *queue.Heap[twEvent]
-	cancelled map[int64]bool // tombstones for annihilated queued events
-	log       []twhjRecord
-	inVal     [2]circuit.Value
-	lvt       int64
-	emitSeq   int64
-	sliceSeq  int64 // chaos rollback key and EvSlice counter
-	sinceSave int   // events since the last state-saving anchor
+	lat   int64 // delay + wire delay: send time minus event time
+	sends bool  // a gate with fanout: processing emits
 
-	out       [][]twEvent // per-fanout-slot send buffers, flushed at slice end
-	mailFree  []*twMail   // owner-only recycled mail nodes (migrate sender→receiver)
-	batchFree [][]twEvent // owner-only recycled batch slices
+	ports [2]twhjPort
+	log   []twhjRecord
+	// stale holds the send records of undone events as a stack whose top
+	// (last element) is the earliest; bottom-to-top it is sorted descending
+	// by (time, base), and every entry is later than the log's last send.
+	stale    []twhjSent
+	inVal    [2]circuit.Value
+	lvt      int64
+	emitSeq  int64
+	sliceSeq int64 // chaos rollback key and EvSlice counter
+
+	out       [][]twhjEvent // per-fanout-slot send buffers, flushed at slice end
+	mailFree  *twhjMail     // owner-only recycled mail nodes, each with its spent batch
+	mailFreeN int
 
 	history     []TimedValue
 	transitions []circuit.Transition
 	archived    int64
 	rollbacks   int64
 	undone      int64
-	antis       int64
+	antis       int64 // fixes sent: each is a fused anti-message + corrected positive
 	stragglers  int64
 
 	ring   *obs.Ring // flight-recorder shard = node id; nil when off
 	ticket atomic.Pointer[hj.Ticket]
 
 	_     [64]byte
-	mb    twMailbox
+	mb    twhjMailbox
 	sched atomic.Bool
 }
 
@@ -182,8 +303,16 @@ type twhjNode struct {
 // wakeups.
 const twhjSweepInterval = 50 * time.Microsecond
 
-// twhjMailChunk is the slab size for mail-node carving.
-const twhjMailChunk = 64
+// twhjMailChunk is the slab size for mail-node carving; twhjMailFreeCap
+// bounds a node's free list.
+const (
+	twhjMailChunk   = 16
+	twhjMailFreeCap = 1024
+)
+
+// twhjBatchCap is the capacity a send buffer starts with when no spent
+// batch came back to reuse.
+const twhjBatchCap = 8
 
 // twhjRun is one barrier-free run.
 type twhjRun struct {
@@ -196,14 +325,13 @@ type twhjRun struct {
 	undoneA  atomic.Int64 // rollback-undone events, for the adaptive throttle
 	done     atomic.Bool  // cancellation flag checked inside long slices
 
-	record    bool
-	paranoid  bool
-	noAff     bool
-	adaptive  bool
-	saveEvery int
-	minWin    int64
-	maxWin    int64
-	hooks     *ChaosHooks
+	record   bool
+	paranoid bool
+	noAff    bool
+	adaptive bool
+	minWin   int64
+	maxWin   int64
+	hooks    *ChaosHooks
 
 	sliceTask hj.IndexedTask
 	sweepRing *obs.Ring // EvRound shard = len(nodes); sweep-goroutine only
@@ -252,7 +380,7 @@ func validateTWHJOptions(engine string, opts Options) error {
 	case opts.TimeWarpWindow < 0:
 		return bad("TimeWarpWindow %d is negative (0 means unbounded)", opts.TimeWarpWindow)
 	case opts.TimeWarpSaveEvery < 0:
-		return bad("TimeWarpSaveEvery %d is negative (0 means save every event)", opts.TimeWarpSaveEvery)
+		return bad("TimeWarpSaveEvery %d is negative", opts.TimeWarpSaveEvery)
 	case opts.TimeWarpSaveEvery > maxSaveEvery:
 		return bad("TimeWarpSaveEvery %d exceeds the %d maximum", opts.TimeWarpSaveEvery, maxSaveEvery)
 	}
@@ -290,12 +418,11 @@ func (e *twhjEngine) run(ctx context.Context, c *circuit.Circuit, stim *circuit.
 	}
 
 	r := &twhjRun{
-		record:    !e.opts.DiscardOutputs,
-		paranoid:  e.opts.Paranoid,
-		noAff:     e.opts.NoAffinity,
-		adaptive:  e.opts.TimeWarpAdaptive,
-		saveEvery: e.opts.TimeWarpSaveEvery,
-		hooks:     e.opts.Chaos,
+		record:   !e.opts.DiscardOutputs,
+		paranoid: e.opts.Paranoid,
+		noAff:    e.opts.NoAffinity,
+		adaptive: e.opts.TimeWarpAdaptive,
+		hooks:    e.opts.Chaos,
 	}
 	r.gvt.Store(-1)
 	win := e.opts.TimeWarpWindow
@@ -310,26 +437,53 @@ func (e *twhjEngine) run(ctx context.Context, c *circuit.Circuit, stim *circuit.
 	e.runP.Store(r)
 
 	// Build nodes. Home workers tile the index space so neighbor nodes
-	// share a worker and cross-node mail stays cache-warm.
+	// share a worker and cross-node mail stays cache-warm. The per-port
+	// arrays and rollback logs are carved from two slabs sized from the
+	// exact number of events the stimulus will deliver to each node (the
+	// circuit facts), clamped so a long run does not reserve its whole
+	// history up front; past the clamp a buffer grows by appending, on its
+	// own (the three-index carve keeps it out of its neighbour).
 	w := rt.NumWorkers()
 	r.nodes = make([]twhjNode, len(c.Nodes))
 	r.cells = make([]gvtCell, len(c.Nodes))
 	r.snapSent = make([]int64, len(c.Nodes))
 	r.snapRecvd = make([]int64, len(c.Nodes))
+	counts := twhjEventCounts(c, stim)
+	presize := func(events int64) int { return int(min(events, twhjPresizeCap)) }
+	var portTotal, logTotal, slots int
+	for i := range c.Nodes {
+		cn := &c.Nodes[i]
+		for p := 0; p < cn.NumIn(); p++ {
+			portTotal += presize(counts[cn.Fanin[p]])
+		}
+		logTotal += presize(counts[i])
+		slots += len(cn.Fanout)
+	}
+	ports, logs := twhjPortArena.Get(portTotal), twhjLogArena.Get(logTotal)
+	portSlab, logSlab := ports[:portTotal], logs[:logTotal]
+	fanoutSlab := make([]dest, slots)
+	outSlab := make([][]twhjEvent, slots)
 	for i := range c.Nodes {
 		cn := &c.Nodes[i]
 		n := &r.nodes[i]
 		n.id = int32(cn.ID)
 		n.home = int32(i * w / len(c.Nodes))
 		n.kind = cn.Kind
-		n.delay = cn.Kind.Delay()
-		n.fanout = make([]dest, len(cn.Fanout))
+		n.lat = cn.Kind.Delay() + circuit.WireDelay
+		n.sends = cn.Kind.IsGate() && len(cn.Fanout) > 0
+		f := len(cn.Fanout)
+		n.fanout, fanoutSlab = fanoutSlab[:f:f], fanoutSlab[f:]
+		n.out, outSlab = outSlab[:f:f], outSlab[f:]
 		for j, p := range cn.Fanout {
 			n.fanout[j] = dest{node: int32(p.Node), port: int32(p.In)}
 		}
-		n.out = make([][]twEvent, len(n.fanout))
-		n.inputQ = queue.NewHeap(lessTWEvent)
-		n.cancelled = map[int64]bool{}
+		for p := 0; p < cn.NumIn(); p++ {
+			k := presize(counts[cn.Fanin[p]])
+			n.ports[p].evs, portSlab = portSlab[:0:k], portSlab[k:]
+			n.ports[p].want, n.ports[p].clock = counts[cn.Fanin[p]], -1
+		}
+		k := presize(counts[i])
+		n.log, logSlab = logSlab[:0:k], logSlab[k:]
 		n.lvt = -1
 		n.ring = e.opts.Trace.Ring(i)
 		r.cells[i].floor.Store(TimeInfinity)
@@ -350,21 +504,20 @@ func (e *twhjEngine) run(ctx context.Context, c *circuit.Circuit, stim *circuit.
 	// runs. Sends are counted before the push, like every send.
 	for _, id := range c.Inputs {
 		n := &r.nodes[id]
-		for slot := range n.fanout {
-			batch := make([]twEvent, 0, len(n.transitions))
-			for _, tr := range n.transitions {
-				ev := twEvent{Time: tr.Time + circuit.WireDelay, Value: tr.Value}
+		if len(n.transitions) == 0 {
+			continue
+		}
+		for _, d := range n.fanout {
+			batch := make([]twhjEvent, len(n.transitions))
+			for i, tr := range n.transitions {
 				n.emitSeq++
-				ev.ID = int64(n.id)<<40 | n.emitSeq
-				ev.Port = n.fanout[slot].port
-				batch = append(batch, ev)
+				batch[i] = twhjEvent{
+					Time: tr.Time + circuit.WireDelay, ID: int64(n.id)<<40 | n.emitSeq,
+					Port: d.port, Value: tr.Value,
+				}
 			}
-			if len(batch) == 0 {
-				continue
-			}
-			d := n.fanout[slot]
 			r.cells[id].sent.Add(int64(len(batch)))
-			r.nodes[d.node].mb.Push(&twMail{Val: batch})
+			r.nodes[d.node].mb.Push(&twhjMail{Val: batch})
 		}
 	}
 
@@ -431,6 +584,19 @@ func (e *twhjEngine) run(ctx context.Context, c *circuit.Circuit, stim *circuit.
 		return nil, ResumeState{}, context.Cause(ctx)
 	}
 
+	// A node held back by its speculation allowance is rescheduled only by
+	// mail, so a quiesced runtime with events still pending means a port
+	// was promised positives that never came: report it as the stall it is
+	// instead of committing a short history.
+	for i := range r.nodes {
+		if _, t, pending := r.nodes[i].next(); pending {
+			return nil, ResumeState{}, &EngineError{
+				Engine: e.name, Unit: fmt.Sprintf("node %d", i), Reason: FailStall, Diag: e.Diagnose(),
+				Err: fmt.Errorf("quiesced with an event at t=%d unprocessed", t),
+			}
+		}
+	}
+
 	// Quiesced: commit all remaining history (GVT = ∞).
 	stats := TWStats{Sweeps: r.sweeps, Fires: r.fires}
 	res := &Result{
@@ -441,7 +607,7 @@ func (e *twhjEngine) run(ctx context.Context, c *circuit.Circuit, stim *circuit.
 	}
 	for i := range r.nodes {
 		n := &r.nodes[i]
-		n.fossilCollect(TimeInfinity, r.record)
+		n.fossilCollect(r, TimeInfinity)
 		res.NodeEvents[i] = n.archived
 		res.TotalEvents += n.archived
 		stats.Rollbacks += n.rollbacks
@@ -463,16 +629,69 @@ func (e *twhjEngine) run(ctx context.Context, c *circuit.Circuit, stim *circuit.
 	if private {
 		res.HJ = rt.Stats()
 	}
+	// The run has joined and every node's arrays are fully collected:
+	// detach them and hand the slabs to the next run.
+	for i := range r.nodes {
+		r.nodes[i].ports, r.nodes[i].log = [2]twhjPort{}, nil
+	}
+	twhjPortArena.Put(ports)
+	twhjLogArena.Put(logs)
 	res.FillMetrics(e.opts)
 	res.Elapsed = time.Since(start)
 	return res, final, nil
 }
 
+// twhjPortArena and twhjLogArena recycle the two per-run slabs across
+// runs (process-wide, sync.Pool-backed). Both element types are
+// pointer-free, and the engine only ever appends into the zero-length
+// slices it carves, so a recycled slab's stale contents are never read.
+var (
+	twhjPortArena queue.Arena[twhjEvent]
+	twhjLogArena  queue.Arena[twhjRecord]
+)
+
+// twhjPresizeCap clamps how many entries a port array or rollback log
+// reserves up front.
+const twhjPresizeCap = 1 << 12
+
+// twhjEventCounts returns how many events the stimulus will deliver to
+// each node over the whole run. The count is exact, not an estimate: a
+// node emits one event per fanout edge for every event it processes, so
+// it receives what its fanin nodes receive, summed over its ports.
+func twhjEventCounts(c *circuit.Circuit, stim *circuit.Stimulus) []int64 {
+	counts := make([]int64, len(c.Nodes))
+	waiting := make([]int8, len(c.Nodes)) // fanin ports not yet counted
+	ready := make([]circuit.NodeID, 0, len(c.Nodes))
+	for i, id := range c.Inputs {
+		counts[id] = int64(len(stim.ByInput[i]))
+	}
+	for i := range c.Nodes {
+		if waiting[i] = int8(c.Nodes[i].NumIn()); waiting[i] == 0 {
+			ready = append(ready, circuit.NodeID(i))
+		}
+	}
+	for len(ready) > 0 {
+		id := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		for _, p := range c.Nodes[id].Fanout {
+			// Reconvergent fanout doubles the count per level; saturate
+			// rather than wrap on a circuit too deep to ever finish.
+			if counts[p.Node] += counts[id]; counts[p.Node] < 0 {
+				counts[p.Node] = math.MaxInt64
+			}
+			if waiting[p.Node]--; waiting[p.Node] == 0 {
+				ready = append(ready, p.Node)
+			}
+		}
+	}
+	return counts
+}
+
 // slice is one node's run-to-completion turn: drain the mailbox
-// (handling stragglers and anti-messages with rollbacks), fossil-collect
-// to the published GVT, process optimistically up to the window horizon,
-// flush sends, republish the floor, and yield — leaving a ticket for the
-// GVT sweep when pending work sits beyond the horizon.
+// (handling stragglers and fixes with rollbacks), fossil-collect to the
+// published GVT, process optimistically up to the window horizon, flush
+// sends, republish the floor, and yield — leaving a ticket for the GVT
+// sweep when pending work sits beyond the horizon.
 func (r *twhjRun) slice(hctx *hj.Ctx, id int32) {
 	n := &r.nodes[id]
 	cell := &r.cells[id]
@@ -506,8 +725,8 @@ func (r *twhjRun) slice(hctx *hj.Ctx, id int32) {
 				panic(fmt.Sprintf("tw-hj: GVT safety violated: node %d received t=%d below GVT %d", id, minT, g))
 			}
 			for m := fifo; m != nil; {
-				for _, ev := range m.Val {
-					n.absorb(r, ev)
+				for i := range m.Val {
+					n.absorb(r, &m.Val[i])
 				}
 				next := m.Next
 				n.freeMail(m)
@@ -520,38 +739,47 @@ func (r *twhjRun) slice(hctx *hj.Ctx, id int32) {
 		// log as if a straggler had arrived. Semantics-preserving, same
 		// as the barrier engine's injection point.
 		if h := r.hooks; h != nil && h.Rollback != nil && len(n.log) > 1 && h.Rollback(n.id, int(n.sliceSeq)) {
-			n.rollbackBefore(r, n.log[len(n.log)/2].ev.Time, -1)
+			n.undo(r, n.cutAfter(n.log[len(n.log)/2].time))
 		}
 
 		// Fossil-collect to the last published GVT: commit and trim off
 		// the critical path, amortized over slices.
-		n.fossilCollect(g, r.record)
+		n.fossilCollect(r, g)
 
-		// Process optimistically up to the window horizon. The window is
-		// local, matching the barrier engine's documented semantics: "do
-		// not run more than W ahead of your own earliest pending work" —
-		// so progress never waits on the GVT sweep (whose published GVT
-		// governs memory and the adaptive throttle, not the horizon).
-		horizon := TimeInfinity
+		// Process up to the window horizon. The window is local, matching
+		// the barrier engine's documented semantics: "do not run more than
+		// W ahead of your own earliest pending work" — so progress never
+		// waits on the GVT sweep (whose published GVT governs memory and the
+		// adaptive throttle, not the horizon). Below the safe horizon an
+		// event cannot be overtaken; past it the node speculates, with at
+		// most twhjSpecAllowance processed events outstanding there.
+		window := TimeInfinity
 		if w := r.effWin.Load(); w > 0 {
-			if top, ok := n.inputQ.Peek(); ok {
-				if horizon = top.Time + w; horizon < top.Time {
-					horizon = TimeInfinity // overflow on huge windows
+			if _, t, ok := n.next(); ok {
+				if window = t + w; window < t {
+					window = TimeInfinity // overflow on huge windows
 				}
 			}
 		}
+		safe := n.safeHorizon()
+		budget := twhjSpecAllowance
+		if safe != TimeInfinity {
+			budget -= len(n.log) - n.cutAfter(safe)
+		}
 		processed := 0
 		for {
-			top, ok := n.inputQ.Peek()
-			if !ok || top.Time > horizon {
+			p, t, ok := n.next()
+			if !ok || t > window {
 				break
 			}
-			ev, _ := n.inputQ.Pop()
-			if n.cancelled[ev.ID] {
-				delete(n.cancelled, ev.ID)
-				continue
+			spec := t > safe
+			if spec {
+				if budget <= 0 {
+					break
+				}
+				budget--
 			}
-			n.process(r, ev)
+			n.process(p, spec)
 			if processed++; processed%1024 == 0 && r.done.Load() {
 				return
 			}
@@ -560,16 +788,24 @@ func (r *twhjRun) slice(hctx *hj.Ctx, id int32) {
 			r.progress.Add(uint64(processed))
 		}
 
+		// Every send record still held must belong to an event that is
+		// still pending: its send time is that event's time plus lat, so
+		// the floor below (the earliest pending time) also bounds every fix
+		// this node may yet send. A record whose event is gone could never
+		// be taken over or corrected; events do not vanish in this model.
+		// Checked before the flush, so nothing built on a violation leaves.
+		_, floor, pending := n.next()
+		if k := len(n.stale); k > 0 && (!pending || n.stale[k-1].time < floor+n.lat) {
+			panic(fmt.Sprintf("tw-hj: node %d: send record at t=%d outlived its event", id, n.stale[k-1].time))
+		}
+		if r.paranoid {
+			n.checkStale(floor)
+		}
+
 		// Flush sends (counting each before its push), then republish the
 		// floor. Order matters: raising the floor before the flush could
-		// let a sweep publish a GVT above an anti-message we are about to
-		// send.
+		// let a sweep publish a GVT above a fix we are about to send.
 		n.flush(r, hctx)
-		floor := int64(TimeInfinity)
-		pending := false
-		if top, ok := n.inputQ.Peek(); ok {
-			floor, pending = top.Time, true
-		}
 		cell.floor.Store(floor)
 
 		// A drained node cancels its stale wakeup ticket, if the sweep
@@ -589,12 +825,14 @@ func (r *twhjRun) slice(hctx *hj.Ctx, id int32) {
 		if !n.mb.Empty() && n.sched.CompareAndSwap(false, true) {
 			continue
 		}
-		// Returning with pending work beyond the horizon: leave a ticket
-		// so the GVT sweep can reschedule this node once GVT advances —
-		// there is no "next round" to pick it up. Install-by-CAS: if a
-		// concurrent slice (spawned after the flag cleared) already left
-		// one, release ours immediately.
-		if pending {
+		// Returning with pending work beyond the window: leave a ticket so
+		// the GVT sweep can reschedule this node once GVT advances — there
+		// is no "next round" to pick it up. (Work held back only by the
+		// speculation allowance needs none: the port it waits on has
+		// positives still to come, and their mail reschedules the node.)
+		// Install-by-CAS: if a concurrent slice (spawned after the flag
+		// cleared) already left one, release ours immediately.
+		if pending && floor > window {
 			tk := hctx.Reserve(r.sliceTask, id)
 			if !n.ticket.CompareAndSwap(nil, tk) {
 				tk.Cancel()
@@ -604,177 +842,222 @@ func (r *twhjRun) slice(hctx *hj.Ctx, id int32) {
 	}
 }
 
-// absorb applies one received event: anti-messages annihilate, late
-// positives (stragglers) roll the node back, and everything else queues.
-func (n *twhjNode) absorb(r *twhjRun, ev twEvent) {
-	if ev.Anti {
-		n.annihilate(r, ev)
-		return
+// next reports the port and time of the earliest pending event: the
+// smaller of the two port heads (port 0 on a tie — any order that keeps
+// each port's own order commits the same values). With nothing pending
+// it returns ok false and time TimeInfinity.
+func (n *twhjNode) next() (port int, t int64, ok bool) {
+	a, b := &n.ports[0], &n.ports[1]
+	t = TimeInfinity
+	if a.head < len(a.evs) {
+		t, ok = a.evs[a.head].Time, true
 	}
-	if n.lvt >= 0 && ev.Time < n.lvt {
-		n.stragglers++
-		n.rollbackBefore(r, ev.Time, -1)
+	if b.head < len(b.evs) && b.evs[b.head].Time < t {
+		return 1, b.evs[b.head].Time, true
 	}
-	n.inputQ.Push(ev)
+	return 0, t, ok
 }
 
-// annihilate handles an anti-message: roll back the processing of the
-// matching positive, or tombstone it in the queue. Positives always
-// arrive before their antis (per-sender FIFO through the mailbox), and
-// a fossil-collected positive can never meet its anti (any in-transit
-// anti blocks the GVT snapshot; see DESIGN §16).
-func (n *twhjNode) annihilate(r *twhjRun, anti twEvent) {
-	// The log is nondecreasing in event time (a straggler truncates it
-	// before being appended), so only the anti's own time cohort can
-	// hold the matching positive — binary-search to it instead of
-	// scanning the whole speculative history.
-	lo := sort.Search(len(n.log), func(i int) bool { return n.log[i].ev.Time >= anti.Time })
-	for i := lo; i < len(n.log) && n.log[i].ev.Time == anti.Time; i++ {
-		if n.log[i].ev.ID == anti.ID {
-			n.rollbackBefore(r, anti.Time, anti.ID)
-			return
+// twhjSpecAllowance is how many processed events a node may have
+// outstanding beyond its safe horizon, and so the depth of the rollback a
+// straggler can cause. Unbounded, a node that hears from one input long
+// before the other (every node, under one worker's depth-first order)
+// processes that input's whole history and redoes it per late batch:
+// 12 M events undone to commit 271 k on koggestone-64, minutes on mult-12.
+// 4, 8, 16 and 32 measured within noise of each other on both circuits.
+const twhjSpecAllowance = 8
+
+// safeHorizon is the time up to which no straggler can arrive: the
+// smallest clock among the ports that still have positives to come. A
+// clock is a promise, by induction from the input terminals: it was set
+// by a positive whose sender processed its cause at or below the
+// sender's own safe horizon.
+func (n *twhjNode) safeHorizon() int64 {
+	h := TimeInfinity
+	for p := range n.ports {
+		if port := &n.ports[p]; port.want > 0 && port.clock < h {
+			h = port.clock
 		}
 	}
-	n.ring.Record(obs.EvAbort, int64(n.id), anti.Time)
-	n.cancelled[anti.ID] = true
+	return h
 }
 
-// process executes one event optimistically. Pre-state is logged only
-// at anchors (every saveEvery-th event, and always on an empty log);
-// rollback coast-forwards from the nearest anchor.
-func (n *twhjNode) process(r *twhjRun, ev twEvent) {
-	rec := twhjRecord{ev: ev}
-	if r.saveEvery <= 1 || len(n.log) == 0 || n.sinceSave+1 >= r.saveEvery {
-		rec.preVal, rec.hasPre = n.inVal, true
-		n.sinceSave = 0
-	} else {
-		n.sinceSave++
+// absorb applies one received message. A positive older than local
+// virtual time is a straggler and rolls the node back before it is
+// inserted; a fix rolls back to its target if that was already
+// processed, then replaces the value in place.
+func (n *twhjNode) absorb(r *twhjRun, ev *twhjEvent) {
+	port := &n.ports[ev.Port]
+	if !ev.Fix {
+		if ev.Time < n.lvt {
+			n.stragglers++
+			n.undo(r, n.cutAfter(ev.Time))
+		}
+		port.insert(*ev, r.paranoid)
+		return
 	}
-	n.inVal[ev.Port] = ev.Value
-	if n.kind != circuit.Output && n.kind != circuit.Input {
-		v := n.kind.Eval(n.inVal[0], n.inVal[1])
-		out := twEvent{Time: ev.Time + n.delay + circuit.WireDelay, Value: v}
-		for slot := range n.fanout {
-			sent := n.emit(slot, out)
-			rec.sends = append(rec.sends, twSend{edge: int32(slot), ev: sent})
+	i := port.find(ev)
+	if port.evs[i].Value == ev.Value {
+		return
+	}
+	if i < port.head {
+		n.undo(r, n.cutAt(int(ev.Port), i))
+	}
+	port.evs[i].Value = ev.Value
+}
+
+// process executes the head event of port p; spec says it lies beyond
+// the safe horizon.
+func (n *twhjNode) process(p int, spec bool) {
+	port := &n.ports[p]
+	ev := &port.evs[port.head]
+	port.head++
+	rec := twhjRecord{time: ev.Time, port: uint8(p), val: ev.Value, pre: n.inVal}
+	n.inVal[p] = ev.Value
+	if n.sends {
+		rec.out = n.kind.Eval(n.inVal[0], n.inVal[1])
+		at := ev.Time + n.lat
+		// Lazy cancellation: if a rollback left a send record at this send
+		// time, the receivers already hold that emission — take it over,
+		// keeping its ID and with it its place in their (Time, ID) order,
+		// and send a fix only when the value changed. Records are matched
+		// by position within the time cohort, not by input event: same-time
+		// events may re-execute in a different order, and the cohort's last
+		// emission, which settles the wire, must carry the last value.
+		if k := len(n.stale); k > 0 && n.stale[k-1].time == at {
+			s := n.stale[k-1]
+			n.stale = n.stale[:k-1]
+			rec.emitBase = s.base
+			if s.val != rec.out {
+				n.send(twhjEvent{Time: at, ID: s.base, Value: rec.out, Fix: true})
+				n.antis += int64(len(n.fanout))
+			}
+		} else {
+			rec.emitBase = n.emitSeq + 1
+			n.emitSeq += int64(len(n.fanout))
+			n.send(twhjEvent{Time: at, ID: rec.emitBase, Value: rec.out, Spec: spec})
 		}
 	}
 	n.log = append(n.log, rec)
 	n.lvt = ev.Time
 }
 
-// emit stamps a fresh emission ID and buffers the event on the slot's
-// send buffer (flushed at slice end).
-func (n *twhjNode) emit(slot int, ev twEvent) twEvent {
-	n.emitSeq++
-	ev.ID = int64(n.id)<<40 | n.emitSeq
-	ev.Port = n.fanout[slot].port
-	n.out[slot] = append(n.out[slot], ev)
-	return ev
-}
-
-// emitAnti buffers an anti-message cancelling a recorded send.
-func (n *twhjNode) emitAnti(s twSend) {
-	anti := s.ev
-	anti.Anti = true
-	n.out[s.edge] = append(n.out[s.edge], anti)
-	n.antis++
-}
-
-// stateBefore reconstructs the input-wire state immediately before
-// log[cut] by replaying from the nearest earlier anchor (log[0] always
-// carries pre-state, so the scan terminates).
-func (n *twhjNode) stateBefore(cut int) [2]circuit.Value {
-	j := cut
-	for !n.log[j].hasPre {
-		j--
-	}
-	v := n.log[j].preVal
-	// Stamp anchors along the way: a replay that walked this prefix once
-	// must never walk it end-to-end again, no matter how sparse the
-	// configured save interval is. The stamped entries survive rollback
-	// truncation (they sit below the cut), so repeated rollbacks into
-	// the same region stay O(64) instead of O(save interval).
-	for i := j; i < cut; i++ {
-		if steps := i - j; steps > 0 && steps%64 == 0 && !n.log[i].hasPre {
-			n.log[i].preVal = v
-			n.log[i].hasPre = true
+// send buffers one copy of ev per fanout slot (flushed at slice end).
+// ev.ID arrives as the emission base; slot j carries sequence base+j.
+func (n *twhjNode) send(ev twhjEvent) {
+	ev.ID |= int64(n.id) << 40
+	for slot, d := range n.fanout {
+		ev.Port = d.port
+		if cap(n.out[slot]) == 0 {
+			n.out[slot] = make([]twhjEvent, 0, twhjBatchCap)
 		}
-		v[n.log[i].ev.Port] = n.log[i].ev.Value
+		n.out[slot] = append(n.out[slot], ev)
+		ev.ID++
 	}
-	return v
 }
 
-// rollbackBefore undoes every processed event with time > t (plus the
-// event with ID dropID, which is annihilated rather than re-queued),
-// restoring the coast-forward state and sending anti-messages for all
-// undone emissions. Ties at t keep their processing, exactly like the
-// barrier engine.
-func (n *twhjNode) rollbackBefore(r *twhjRun, t int64, dropID int64) {
-	// Entries strictly newer than t are undone; within t's own cohort
-	// only the annihilated event itself is. Time-sorted log: binary-search
-	// to the cohort, then scan only it for dropID.
-	cut := sort.Search(len(n.log), func(i int) bool { return n.log[i].ev.Time > t })
-	if dropID >= 0 {
-		lo := sort.Search(cut, func(i int) bool { return n.log[i].ev.Time >= t })
-		for i := lo; i < cut; i++ {
-			if n.log[i].ev.ID == dropID {
-				cut = i
-				break
-			}
+// cutAfter returns the log index of the first processed event later
+// than t: a straggler at t undoes those, and ties at t keep their
+// processing, exactly like the barrier engine.
+func (n *twhjNode) cutAfter(t int64) int {
+	cut := len(n.log)
+	for cut > 0 && n.log[cut-1].time > t {
+		cut--
+	}
+	return cut
+}
+
+// cutAt returns the log index of the processed event at index i of port
+// p: walking back from the newest record, it is the one that brings the
+// port's count of undone events to head-i.
+func (n *twhjNode) cutAt(p, i int) int {
+	need := n.ports[p].head - i
+	cut := len(n.log)
+	for need > 0 {
+		cut--
+		if int(n.log[cut].port) == p {
+			need--
 		}
 	}
-	if cut == len(n.log) {
+	return cut
+}
+
+// undo rolls back the processed events log[cut:]. Each returns to the
+// pending suffix of its port and its send record moves to the stale
+// stack; nothing is sent — what the receivers hold is corrected, if it
+// needs to be, when the events are re-executed.
+func (n *twhjNode) undo(r *twhjRun, cut int) {
+	undone := int64(len(n.log) - cut)
+	if undone == 0 {
 		return
 	}
-	n.rollbacks++
-	state := n.stateBefore(cut)
-	undone := int64(len(n.log) - cut)
 	for i := len(n.log) - 1; i >= cut; i-- {
 		rec := &n.log[i]
-		for _, s := range rec.sends {
-			n.emitAnti(s)
-		}
-		n.undone++
-		if rec.ev.ID != dropID {
-			n.inputQ.Push(rec.ev)
+		n.ports[rec.port].head--
+		if n.sends {
+			if n.stale == nil {
+				n.stale = make([]twhjSent, 0, 2*twhjSpecAllowance)
+			}
+			n.stale = append(n.stale, twhjSent{time: rec.time + n.lat, base: rec.emitBase, val: rec.out})
 		}
 	}
-	n.inVal = state
+	n.inVal = n.log[cut].pre
+	n.lvt = -1
 	if cut > 0 {
-		n.lvt = n.log[cut-1].ev.Time
-	} else {
-		n.lvt = -1
+		n.lvt = n.log[cut-1].time
 	}
 	n.log = n.log[:cut]
+	n.rollbacks++
+	n.undone += undone
 	r.undoneA.Add(undone)
 	n.ring.Record(obs.EvRollback, int64(n.id), undone)
 }
 
+// checkStale is the Paranoid sweep over the stale stack: sorted, and no
+// entry at or below the floor about to be published.
+func (n *twhjNode) checkStale(floor int64) {
+	for k := range n.stale {
+		s := &n.stale[k]
+		if s.time <= floor {
+			panic(fmt.Sprintf("tw-hj: node %d: floor %d does not cover a correctable send at t=%d", n.id, floor, s.time))
+		}
+		if k > 0 {
+			if up := &n.stale[k-1]; s.time > up.time || (s.time == up.time && s.base >= up.base) {
+				panic(fmt.Sprintf("tw-hj: node %d: stale stack out of order at %d", n.id, k))
+			}
+		}
+	}
+}
+
 // fossilCollect commits log entries strictly older than gvt: output
-// terminals archive them as history samples; every node counts them.
-// Under incremental state saving, the surviving head record is
-// materialized into an anchor first, so coast-forward never needs the
-// archived prefix.
-func (n *twhjNode) fossilCollect(gvt int64, record bool) {
-	cut := sort.Search(len(n.log), func(i int) bool { return n.log[i].ev.Time >= gvt })
-	if cut == 0 {
+// terminals archive them as history samples; every node counts them and
+// drops them from the front of their ports' processed prefixes.
+func (n *twhjNode) fossilCollect(r *twhjRun, gvt int64) {
+	if len(n.log) == 0 || n.log[0].time >= gvt {
 		return
 	}
+	cut := sort.Search(len(n.log), func(i int) bool { return n.log[i].time >= gvt })
 	// Trimming memmoves the surviving suffix, so collect in batches: a
 	// sweep that publishes GVT every tick must not turn every slice into
 	// an O(log) copy. Dead-entry memory stays bounded by the batch size.
 	if cut < len(n.log) && cut < 64 {
 		return
 	}
-	if cut < len(n.log) && !n.log[cut].hasPre {
-		n.log[cut].preVal = n.stateBefore(cut)
-		n.log[cut].hasPre = true
-	}
-	if n.kind == circuit.Output && record {
-		for i := 0; i < cut; i++ {
-			n.history = append(n.history, TimedValue{Time: n.log[i].ev.Time, Value: n.log[i].ev.Value})
+	var perPort [2]int
+	for i := range n.log[:cut] {
+		rec := &n.log[i]
+		perPort[rec.port]++
+		if n.kind == circuit.Output && r.record {
+			n.history = append(n.history, TimedValue{Time: rec.time, Value: rec.val})
 		}
+	}
+	for p, k := range perPort {
+		port := &n.ports[p]
+		if r.paranoid && k < port.head && port.evs[k].Time < gvt {
+			panic(fmt.Sprintf("tw-hj: node %d port %d: processed event at t=%d below GVT %d missing from the log", n.id, p, port.evs[k].Time, gvt))
+		}
+		port.evs = append(port.evs[:0], port.evs[k:]...)
+		port.head -= k
 	}
 	n.archived += int64(cut)
 	n.log = append(n.log[:0], n.log[cut:]...)
@@ -784,7 +1067,8 @@ func (n *twhjNode) fossilCollect(gvt int64, record bool) {
 // flush pushes every non-empty slot buffer to its destination's mailbox
 // and schedules the destination if no slice owns it. The send counter
 // rises before the push: a message must never be drainable before it is
-// accounted in transit.
+// accounted in transit. The mail node that carries the batch away leaves
+// its own spent batch behind as the slot's next buffer.
 func (n *twhjNode) flush(r *twhjRun, hctx *hj.Ctx) {
 	cell := &r.cells[n.id]
 	for slot := range n.out {
@@ -792,11 +1076,12 @@ func (n *twhjNode) flush(r *twhjRun, hctx *hj.Ctx) {
 		if len(buf) == 0 {
 			continue
 		}
-		n.out[slot] = n.takeBatch()
+		m := n.takeMail()
+		n.out[slot], m.Val = m.Val, buf
 		d := n.fanout[slot]
 		q := &r.nodes[d.node]
 		cell.sent.Add(int64(len(buf)))
-		q.mb.Push(n.takeMail(buf))
+		q.mb.Push(m)
 		if q.sched.CompareAndSwap(false, true) {
 			if r.noAff {
 				hctx.AsyncIdx(r.sliceTask, d.node)
@@ -807,41 +1092,32 @@ func (n *twhjNode) flush(r *twhjRun, hctx *hj.Ctx) {
 	}
 }
 
-// takeMail fetches a recycled mail node carrying batch, carving a fresh
-// chunk when the free list runs dry. Owner-only.
-func (n *twhjNode) takeMail(batch []twEvent) *twMail {
-	if len(n.mailFree) == 0 {
-		chunk := make([]twMail, twhjMailChunk)
-		for i := range chunk {
-			n.mailFree = append(n.mailFree, &chunk[i])
+// takeMail pops a recycled mail node, whose Val is an empty batch with
+// whatever capacity it last carried, carving a fresh chunk when the free
+// list runs dry. Owner-only.
+func (n *twhjNode) takeMail() *twhjMail {
+	if n.mailFree == nil {
+		chunk := make([]twhjMail, twhjMailChunk)
+		for i := range chunk[:twhjMailChunk-1] {
+			chunk[i].Next = &chunk[i+1]
 		}
+		n.mailFree, n.mailFreeN = &chunk[0], twhjMailChunk
 	}
-	m := n.mailFree[len(n.mailFree)-1]
-	n.mailFree = n.mailFree[:len(n.mailFree)-1]
-	m.Val, m.Next = batch, nil
+	m := n.mailFree
+	n.mailFree, n.mailFreeN = m.Next, n.mailFreeN-1
+	m.Next = nil
 	return m
 }
 
-// freeMail retires a drained node (and its batch slice) to the owner's
-// free lists; nodes migrate sender→receiver exactly like lp's mailboxes.
-func (n *twhjNode) freeMail(m *twMail) {
-	if cap(m.Val) > 0 && len(n.batchFree) < 64 {
-		n.batchFree = append(n.batchFree, m.Val[:0])
+// freeMail retires a drained node, batch storage attached, to the
+// owner's free list; nodes migrate sender→receiver exactly like lp's
+// mailboxes, and past the cap go to the collector.
+func (n *twhjNode) freeMail(m *twhjMail) {
+	if n.mailFreeN >= twhjMailFreeCap {
+		return
 	}
-	m.Val, m.Next = nil, nil
-	if len(n.mailFree) < 1024 {
-		n.mailFree = append(n.mailFree, m)
-	}
-}
-
-// takeBatch returns an empty send buffer, recycled when possible.
-func (n *twhjNode) takeBatch() []twEvent {
-	if k := len(n.batchFree); k > 0 {
-		b := n.batchFree[k-1]
-		n.batchFree = n.batchFree[:k-1]
-		return b
-	}
-	return nil
+	m.Val, m.Next = m.Val[:0], n.mailFree
+	n.mailFree, n.mailFreeN = m, n.mailFreeN+1
 }
 
 // sweep is the asynchronous GVT daemon: a Mattern-style stable snapshot

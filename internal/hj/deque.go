@@ -127,13 +127,23 @@ func (d *wsDeque) steal() (tk *task, retry bool) {
 // (index > top) without touching top, so a concurrent pop-then-push could
 // recycle a slot inside [t, t+k) invisibly — the reason schedulers with
 // one-shot batch stealing (Go, Tokio) make the owner side FIFO with its
-// own head-CAS. Per-element claiming keeps the Chase–Lev invariant that a
-// slot read is validated by the CAS on exactly its index: any overwrite
-// of slot i requires top to have advanced past i first, which makes the
-// claim CAS fail and the stale read harmless. The batch still amortizes
-// victim selection, the top/bottom size probe, and the array load across
-// up to max tasks, and returns bursty wake-lists to one thief in a single
-// round.
+// own head-CAS.
+//
+// The per-element CAS alone is not enough either, for the same reason:
+// the owner decides "interior" from the top it loaded, so it can take
+// slot t+i without a CAS while top is still below t+i, and nothing about
+// top records that — a thief that sized its batch from one old read of
+// bottom would then win CAS(t+i, t+i+1) on a slot the owner already ran.
+// So every claim after the first runs the whole steal protocol again: with
+// top known to be t+i (our previous CAS put it there), re-read bottom and
+// stop unless t+i is still below it, then re-read the array and the slot,
+// then CAS. The owner stores bottom before it loads top, so an owner that
+// took slot t+i as interior published bottom <= t+i before our previous
+// CAS, and the re-read sees it; if the owner has since pushed again, the
+// slot read after the bottom read is the new task, which is ours to take
+// — exactly steal()'s argument, once per element. The batch still
+// amortizes victim selection and returns bursty wake-lists to one thief
+// in a single round.
 //
 // taken counts the transferred tasks; retry is true only when nothing was
 // taken because the first claim lost a race (the victim still has work).
@@ -148,9 +158,11 @@ func (d *wsDeque) stealHalf(dst *wsDeque, max int) (first *task, taken int, retr
 	if k > int64(max) {
 		k = int64(max)
 	}
-	a := d.array.Load()
 	for i := int64(0); i < k; i++ {
-		tk := a.get(t + i)
+		if i > 0 && t+i >= d.bottom.Load() {
+			return first, int(i), false
+		}
+		tk := d.array.Load().get(t + i)
 		if !d.top.CompareAndSwap(t+i, t+i+1) {
 			return first, int(i), first == nil
 		}

@@ -224,3 +224,92 @@ func TestStealHalfConcurrentExactlyOnce(t *testing.T) {
 		t.Fatalf("delivered %d tasks, want %d", count.Load(), total)
 	}
 }
+
+// TestStealHalfOwnerDrainExactlyOnce is the execution-count stress for the
+// owner's interior pops: the owner pushes a burst and immediately drains
+// it LIFO — popBottom taking interior slots without touching top — while
+// batch thieves claim several slots per round. This is the shape of a
+// Finish over many tiny tasks, and the one in which a thief that sized
+// its batch from a single read of bottom claimed a slot the owner had
+// already taken. Every task must be delivered exactly once per round.
+func TestStealHalfOwnerDrainExactlyOnce(t *testing.T) {
+	rounds := 20000
+	if testing.Short() {
+		rounds = 2000
+	}
+	const burst = 64
+	d := newWSDeque()
+	tasks := make([]task, burst)
+	index := make(map[*task]int, burst)
+	for i := range tasks {
+		index[&tasks[i]] = i
+	}
+	delivered := make([]atomic.Int64, burst)
+	record := func(tk *task) { delivered[index[tk]].Add(1) }
+
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := newWSDeque()
+			for !stop.Load() {
+				first, _, _ := d.stealHalf(dst, defaultStealMax)
+				if first == nil {
+					runtime.Gosched()
+					continue
+				}
+				record(first)
+				for tk := dst.popBottom(); tk != nil; tk = dst.popBottom() {
+					record(tk)
+				}
+			}
+		}()
+	}
+	for r := 0; r < rounds; r++ {
+		for i := range tasks {
+			d.pushBottom(&tasks[i])
+		}
+		for tk := d.popBottom(); tk != nil; tk = d.popBottom() {
+			record(tk)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	for i := range delivered {
+		if got := delivered[i].Load(); got != int64(rounds) {
+			t.Fatalf("task %d delivered %d times in %d rounds", i, got, rounds)
+		}
+	}
+}
+
+// TestFinishNoopSpawnStorm is the public-API reproducer of the same bug:
+// two workers, Finish after Finish of no-op AsyncIdx spawns. Before the
+// fix a doubly-claimed task record was recycled while still queued and
+// crashed its second execution on a nil finish scope (runtime.go, in
+// worker.execute) within a few hundred thousand spawns.
+func TestFinishNoopSpawnStorm(t *testing.T) {
+	finishes := 300 // 30 M spawns
+	if raceEnabled || testing.Short() {
+		finishes = 30
+	}
+	const perFinish = 100000
+	rt := NewRuntime(Config{Workers: 2})
+	defer rt.Shutdown()
+	var ran atomic.Int64
+	noop := func(*Ctx, int32) { ran.Add(1) }
+	for f := 0; f < finishes; f++ {
+		rt.Finish(func(c *Ctx) {
+			for i := int32(0); i < perFinish; i++ {
+				c.AsyncIdx(noop, i)
+			}
+		})
+		if err := rt.Err(); err != nil {
+			t.Fatalf("finish %d: %v", f, err)
+		}
+	}
+	if want := int64(finishes) * perFinish; ran.Load() != want {
+		t.Fatalf("ran %d tasks, want %d", ran.Load(), want)
+	}
+}

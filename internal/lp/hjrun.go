@@ -77,10 +77,15 @@ func RunHJ(c *circuit.Circuit, stim *circuit.Stimulus, plan *partition.Plan, rt 
 	}
 
 	rt.Finish(func(hctx *hj.Ctx) {
+		// Initial spawns claim every flag before the first task exists, so
+		// every LP gets exactly one first slice. Claiming inside the spawn
+		// loop is not enough: an LP spawned early can already be running on
+		// another worker and win the CAS on one this loop has not reached,
+		// which then gets two concurrent slices.
 		for _, p := range r.procs {
-			// Initial spawns claim the flag up front: no dedup races at
-			// the start, and every LP gets exactly one first slice.
 			p.sched.Store(true)
+		}
+		for _, p := range r.procs {
 			r.enqueue(hctx, p.id)
 		}
 	})

@@ -11,7 +11,12 @@ import (
 const chunkSize = 64
 
 type chunk[T any] struct {
-	next  *chunk[T]
+	// next is atomic because a popper reads it from a head it may be about
+	// to lose: the winner of that race already owns the chunk and rewrites
+	// the link (clearing it here, or re-linking it in pushChunk). The
+	// loser's CAS fails and its stale read is discarded, but the read
+	// itself must not be a data race.
+	next  atomic.Pointer[chunk[T]]
 	n     int
 	items [chunkSize]T
 }
@@ -45,7 +50,7 @@ func (cs *ChunkStack[T]) pushChunk(c *chunk[T]) {
 	n := int64(c.n)
 	for {
 		old := cs.head.Load()
-		c.next = old
+		c.next.Store(old)
 		if cs.head.CompareAndSwap(old, c) {
 			cs.size.Add(n)
 			return
@@ -60,9 +65,9 @@ func (cs *ChunkStack[T]) popChunk() *chunk[T] {
 		if old == nil {
 			return nil
 		}
-		if cs.head.CompareAndSwap(old, old.next) {
+		if cs.head.CompareAndSwap(old, old.next.Load()) {
 			cs.size.Add(int64(-old.n))
-			old.next = nil
+			old.next.Store(nil)
 			return old
 		}
 	}
