@@ -228,9 +228,9 @@ func BenchmarkNetDES(b *testing.B) {
 	}
 }
 
-// BenchmarkLPEngine measures the partitioned logical-process engine
-// (Chandy–Misra–Bryant null messages over circuit partitions, the
-// PARSIR-style extension) across partition counts, reporting the
+// BenchmarkLPEngine measures the partitioned logical-process engine,
+// lp-hj (Chandy–Misra–Bryant null messages over circuit partitions, the
+// PARSIR-style extension), across partition counts, reporting the
 // null-message ratio — the canonical CMB overhead metric — alongside
 // throughput.
 func BenchmarkLPEngine(b *testing.B) {
@@ -239,7 +239,7 @@ func BenchmarkLPEngine(b *testing.B) {
 		stim := benchStim(c, bc.waves)
 		for _, parts := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/partitions=%d", bc.name, parts), func(b *testing.B) {
-				e := core.NewLP(core.Options{Partitions: parts, DiscardOutputs: true})
+				e := core.NewLPHJ(core.Options{Partitions: parts, DiscardOutputs: true})
 				var last *core.Result
 				for i := 0; i < b.N; i++ {
 					res, err := e.Run(c, stim)

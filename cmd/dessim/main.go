@@ -32,10 +32,9 @@ var (
 	circuitFlag = flag.String("circuit", "koggestone-64", "circuit spec: "+strings.Join(cspec.Known(), " | "))
 	engineFlag  = flag.String("engine", "hj", "engine: "+strings.Join(core.EngineNames(), " | "))
 	twWindow    = flag.Int64("tw-window", 0, "timewarp/tw-hj: speculation window past a node's own earliest pending event (0 = none)")
-	twSaveEvery = flag.Int("tw-save-every", 0, "tw-hj: accepted for compatibility; pre-state is now saved on every event whatever the interval")
 	twAdaptive  = flag.Bool("tw-adaptive", false, "tw-hj: let the GVT sweep widen/narrow the speculation window from the observed rollback fraction")
 	workersFlag = flag.Int("workers", 0, "worker count for parallel engines (0 = GOMAXPROCS)")
-	partsFlag   = flag.Int("partitions", 0, "lp: logical-process count (0 = workers)")
+	partsFlag   = flag.Int("partitions", 0, "lp-hj: logical-process count (0 = workers)")
 	wavesFlag   = flag.Int("waves", 10, "number of random input waves")
 	seedFlag    = flag.Int64("seed", 1, "stimulus seed")
 	verifyFlag  = flag.Bool("verify", false, "check outputs against the combinational oracle")
@@ -44,11 +43,10 @@ var (
 	hotFlag     = flag.Int("hotspots", 0, "print the N busiest nodes by processed events")
 	timeoutFlag = flag.Duration("timeout", 0, "fail the run after this long (0 = unbounded)")
 	stallFlag   = flag.Duration("stall", 0, "fail the run if the engine makes no progress for this long (0 = no watchdog)")
-	chaosFlag   = flag.String("chaos", "", "fault-injection spec; lp: seed=7,delay=0.3,dup=0.2,kill=0.1 (fields: seed delay dup kill maxkills maxheld dropnulls); other engines: seed=7,panic=0.01,wakedrop=0.1 (fields: seed panic maxpanics wakedrop maxwakedrops wakedelay rollback maxrollbacks)")
+	chaosFlag   = flag.String("chaos", "", "fault-injection spec; lp-hj: seed=7,delay=0.3,dup=0.2,kill=0.1 (fields: seed delay dup kill maxkills maxheld dropnulls); other engines: seed=7,panic=0.01,wakedrop=0.1 (fields: seed panic maxpanics wakedrop maxwakedrops wakedelay rollback maxrollbacks)")
 	retryFlag   = flag.Int("retries", 0, "resilient: extra attempts per engine on retryable failures before degrading (0 = fail fast)")
-	fbFlag      = flag.String("fallback", "", "resilient: comma-separated engine degradation chain tried after the retry budget, e.g. lp,seq")
+	fbFlag      = flag.String("fallback", "", "resilient: comma-separated engine degradation chain tried after the retry budget, e.g. lp-hj,seq")
 	ckptFlag    = flag.Int("checkpoint-every", 0, "resilient: snapshot crash-consistent state every N settle boundaries so retries resume instead of restarting (0 = off)")
-	inboxFlag   = flag.Int("inbox-cap", 0, "lp: per-LP inbox capacity (0 = default)")
 	traceFlag   = flag.String("trace-out", "", "record a flight-recorder trace and write it as Chrome trace_event JSON (load in Perfetto or chrome://tracing)")
 	metricsFlag = flag.Bool("metrics", false, "print the run's uniform metrics map (all engine counters, dot-namespaced)")
 	// Ablation toggles (HJ engine).
@@ -82,22 +80,20 @@ func main() {
 		fatalf("%v", err)
 	}
 	opts := core.Options{
-		Workers:           *workersFlag,
-		Partitions:        *partsFlag,
-		PerNodePQ:         *pqFlag,
-		PerNodeLocks:      *nodeLockFlag,
-		NoTempQueue:       *noTempFlag,
-		NaiveRespawn:      *naiveFlag,
-		GlobalIsolated:    *isoFlag,
-		MutexLocks:        *mutexFlag,
-		NoAffinity:        *noAffFlag,
-		SingleSteal:       *steal1Flag,
-		TimeWarpWindow:    *twWindow,
-		TimeWarpSaveEvery: *twSaveEvery,
-		TimeWarpAdaptive:  *twAdaptive,
-		LPInboxCap:        *inboxFlag,
-		CheckpointEvery:   *ckptFlag,
-		DiscardOutputs:    !*verifyFlag && *vcdFlag == "",
+		Workers:          *workersFlag,
+		Partitions:       *partsFlag,
+		PerNodePQ:        *pqFlag,
+		PerNodeLocks:     *nodeLockFlag,
+		NoTempQueue:      *noTempFlag,
+		NaiveRespawn:     *naiveFlag,
+		GlobalIsolated:   *isoFlag,
+		MutexLocks:       *mutexFlag,
+		NoAffinity:       *noAffFlag,
+		SingleSteal:      *steal1Flag,
+		TimeWarpWindow:   *twWindow,
+		TimeWarpAdaptive: *twAdaptive,
+		CheckpointEvery:  *ckptFlag,
+		DiscardOutputs:   !*verifyFlag && *vcdFlag == "",
 	}
 	if *traceFlag != "" {
 		recorder = obs.NewRecorder(0)
@@ -105,19 +101,15 @@ func main() {
 	}
 	var eng core.Engine
 	switch {
-	case *chaosFlag != "" && (*engineFlag == "lp" || *engineFlag == "lp-hj"):
-		// lp-family chaos lives on the message plane: the interceptor
-		// sits on the cross-partition delivery path in both engines.
+	case *chaosFlag != "" && *engineFlag == "lp-hj":
+		// LP chaos lives on the message plane: the interceptor sits on
+		// the cross-partition delivery path.
 		ccfg, err := chaos.ParseSpec(*chaosFlag)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		injector = chaos.New(ccfg)
-		if *engineFlag == "lp-hj" {
-			eng = core.NewLPHJIntercepted(opts, injector.Factory())
-		} else {
-			eng = core.NewLPIntercepted(opts, injector.Factory())
-		}
+		eng = core.NewLPHJIntercepted(opts, injector.Factory())
 	case *chaosFlag != "":
 		// Every other engine takes scheduler-level faults (task panics,
 		// lost/delayed wakeups, rollback storms) through core.ChaosHooks.

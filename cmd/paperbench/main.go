@@ -28,7 +28,7 @@ import (
 )
 
 var (
-	expFlag     = flag.String("exp", "all", "experiment: table1 | table2 | fig1 | fig4 | fig5 | fig6 | fig7 | ablations | profiles | ordered | timewarp | lp | lpk | tw | bench | netdes | serve | all")
+	expFlag     = flag.String("exp", "all", "experiment: table1 | table2 | fig1 | fig4 | fig5 | fig6 | fig7 | ablations | profiles | ordered | timewarp | lp | tw | bench | netdes | serve | all")
 	scaleFlag   = flag.Float64("scale", 0.1, "fraction of the paper's event volume per run (1 = paper scale)")
 	repeatsFlag = flag.Int("repeats", 3, "repetitions per configuration (paper: 20)")
 	workersFlag = flag.Int("maxworkers", 8, "maximum worker count in sweeps (paper: 32)")
@@ -36,17 +36,16 @@ var (
 	timeoutFlag = flag.Duration("timeout", 0, "fail any individual engine run after this long (0 = unbounded)")
 	csvFlag     = flag.Bool("csv", false, "emit CSV instead of aligned text")
 	circuitFlag = flag.String("circuit", "", "restrict experiments to one paper circuit by name (e.g. koggestone-64)")
-	jsonFlag    = flag.String("json", "", "with -exp bench/lpk: write machine-readable records to this file ('-' for stdout)")
-	ksFlag      = flag.String("ks", "1,8,64,256", "with -exp lpk: comma-separated partition counts for the lp vs lp-hj over-decomposition sweep")
+	jsonFlag    = flag.String("json", "", "with -exp bench/tw: write machine-readable records to this file ('-' for stdout)")
 	winsFlag    = flag.String("wins", "0,64,256", "with -exp tw: comma-separated optimism windows for the timewarp vs tw-hj sweep (0 = unbounded)")
 	hjAblFlag   = flag.Bool("hjablations", false, "with -exp bench: add hj scheduler ablation rows (hj-noaff, hj-steal1) at each worker count")
 	retryFlag   = flag.Int("retries", 0, "resilient: extra attempts per engine on retryable failures (0 = fail fast)")
-	fbFlag      = flag.String("fallback", "", "resilient: comma-separated engine degradation chain, e.g. lp,seq")
+	fbFlag      = flag.String("fallback", "", "resilient: comma-separated engine degradation chain, e.g. lp-hj,seq")
 	ckptFlag    = flag.Int("checkpoint-every", 0, "resilient: snapshot every N settle boundaries so retries resume (0 = off)")
 	addrFlag    = flag.String("addr", "", "with -exp serve: target dessimd base URL (empty = host an in-process server)")
 	clientsFlag = flag.Int("clients", 8, "with -exp serve: concurrent closed-loop load clients")
 	jobsPerFlag = flag.Int("jobsper", 4, "with -exp serve: jobs each client must complete")
-	engFlag     = flag.String("engines", "seq,hj,lp,lp-hj,tw-hj", "with -exp serve: comma-separated engines assigned round-robin (known: "+strings.Join(core.EngineNames(), " | ")+")")
+	engFlag     = flag.String("engines", "seq,hj,lp-hj,tw-hj", "with -exp serve: comma-separated engines assigned round-robin (known: "+strings.Join(core.EngineNames(), " | ")+")")
 )
 
 func fatalf(format string, args ...any) {
@@ -194,26 +193,6 @@ func main() {
 		emit(t)
 	case "bench":
 		records, err := harness.BenchSweep(cfg)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		emitBench(records)
-	case "lpk":
-		var ks []int
-		for _, s := range strings.Split(*ksFlag, ",") {
-			if s = strings.TrimSpace(s); s == "" {
-				continue
-			}
-			k, err := strconv.Atoi(s)
-			if err != nil || k < 1 {
-				fatalf("bad -ks entry %q (want positive integers)", s)
-			}
-			ks = append(ks, k)
-		}
-		if len(ks) == 0 {
-			fatalf("-ks is empty")
-		}
-		records, err := harness.LPKSweep(cfg, ks)
 		if err != nil {
 			fatalf("%v", err)
 		}

@@ -1,5 +1,5 @@
 // Package chaos is a seeded, deterministic fault injector for the LP
-// engine. It implements lp.Interceptor at the inbox boundary: every
+// engine. It implements lp.Interceptor at the mailbox boundary: every
 // cross-partition message an LP sends passes through a per-LP injector
 // that can hold it back (delaying it past later traffic — a cross-port
 // reorder within the protocol's lookahead), duplicate it (null messages
@@ -9,11 +9,12 @@
 // and restart it from a checkpoint.
 //
 // Determinism: each LP gets its own RNG seeded from Config.Seed and the
-// LP id, and all injector state is touched only from that LP's goroutine.
+// LP id, and all injector state is touched only from that LP's slices,
+// which never overlap.
 // The fault *decisions* are therefore a pure function of (seed, that LP's
 // send sequence), independent of scheduling. Because the injector
 // preserves the invariants in the lp.Interceptor contract — per-port
-// FIFO, no event duplication or loss, full flush before nulls and blocks
+// FIFO, no event duplication or loss, full flush before nulls and yields
 // — a chaos run must still produce bit-identical results to the
 // sequential oracle, or fail loudly (Paranoid causality panic, structured
 // engine error). The chaos tests assert exactly that.
@@ -36,7 +37,7 @@ type Config struct {
 	Seed int64
 	// DelayProb is the probability of holding back an outgoing event
 	// message until a later send to the same LP, the next null on that
-	// channel, or the sender's next block point.
+	// channel, or the end of the sender's slice.
 	DelayProb float64
 	// MaxHeld caps messages held per LP at once; 0 means 16.
 	MaxHeld int
@@ -99,7 +100,7 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg}
 }
 
-// Factory is the lp.Config.NewInterceptor / core.NewLPIntercepted hook.
+// Factory is the lp.Config.NewInterceptor / core.NewLPHJIntercepted hook.
 func (inj *Injector) Factory() func(lpID int) lp.Interceptor {
 	return func(lpID int) lp.Interceptor {
 		return &interceptor{
@@ -114,7 +115,7 @@ func (inj *Injector) Factory() func(lpID int) lp.Interceptor {
 type portKey struct{ node, port int32 }
 
 // interceptor is one LP's fault state; all fields are confined to that
-// LP's goroutine.
+// LP's slices.
 type interceptor struct {
 	inj       *Injector
 	rng       *rand.Rand

@@ -44,11 +44,11 @@ func settleGoroutines(t *testing.T, base int) {
 }
 
 // TestChaosNeverSilentlyWrong is the headline property test: 200 seeded
-// chaos runs across circuits, partition counts, and inbox capacities.
-// Every run must either verify bit-exactly against the sequential oracle
-// or fail loudly with a structured error. Hanging is impossible by
-// construction (Supervise timeout) and silent corruption fails the
-// comparison.
+// chaos runs of lp-hj across circuits and partition counts, on the
+// default worker count. Every run must either verify bit-exactly against
+// the sequential oracle or fail loudly with a structured error. Hanging
+// is impossible by construction (Supervise timeout) and silent
+// corruption fails the comparison.
 func TestChaosNeverSilentlyWrong(t *testing.T) {
 	circuits := []*circuit.Circuit{
 		circuit.FullAdder(),
@@ -57,14 +57,12 @@ func TestChaosNeverSilentlyWrong(t *testing.T) {
 		circuit.ParityChain(24),
 	}
 	partitions := []int{2, 3, 4}
-	inboxCaps := []int{0, 1, 2} // 0 = engine default
 
 	base := runtime.NumGoroutine()
 	runs, failures := 0, 0
 	for seed := int64(0); runs < 200; seed++ {
 		c := circuits[int(seed)%len(circuits)]
 		k := partitions[int(seed)%len(partitions)]
-		cap := inboxCaps[int(seed)%len(inboxCaps)]
 		stim := circuit.RandomStimulus(c, 4, c.SettleTime()+10, seed)
 		want := seqReference(t, c, stim)
 
@@ -75,10 +73,9 @@ func TestChaosNeverSilentlyWrong(t *testing.T) {
 			KillProb:    0.05,
 			MaxKills:    2,
 		})
-		eng := core.NewLPIntercepted(core.Options{
+		eng := core.NewLPHJIntercepted(core.Options{
 			Partitions: k,
 			Paranoid:   true,
-			LPInboxCap: cap,
 		}, inj.Factory())
 
 		got, err := core.Supervise(context.Background(), eng, c, stim,
@@ -88,15 +85,15 @@ func TestChaosNeverSilentlyWrong(t *testing.T) {
 			// A loud, structured failure is acceptable; silence is not.
 			var ee *core.EngineError
 			if !errors.As(err, &ee) {
-				t.Fatalf("seed %d (%s k=%d cap=%d): unstructured failure: %v",
-					seed, c.Name, k, cap, err)
+				t.Fatalf("seed %d (%s k=%d): unstructured failure: %v",
+					seed, c.Name, k, err)
 			}
 			failures++
 			continue
 		}
 		if ok, diff := core.SameOutputs(want, got); !ok {
-			t.Fatalf("seed %d (%s k=%d cap=%d): SILENTLY WRONG under chaos %s: %s",
-				seed, c.Name, k, cap, inj.Stats.String(), diff)
+			t.Fatalf("seed %d (%s k=%d): SILENTLY WRONG under chaos %s: %s",
+				seed, c.Name, k, inj.Stats.String(), diff)
 		}
 	}
 	settleGoroutines(t, base)
@@ -108,54 +105,12 @@ func TestChaosNeverSilentlyWrong(t *testing.T) {
 	}
 }
 
-// TestChaosDeadlockWatchdog induces the classic conservative-PDES
-// deadlock — null messages suppressed on every edge — and requires the
-// stall watchdog to catch it with per-LP diagnostics instead of hanging.
-func TestChaosDeadlockWatchdog(t *testing.T) {
-	c := circuit.KoggeStone(16)
-	stim := circuit.RandomStimulus(c, 4, c.SettleTime()+10, 9)
-	base := runtime.NumGoroutine()
-
-	inj := chaos.New(chaos.Config{Seed: 9, DropNulls: true})
-	eng := core.NewLPIntercepted(core.Options{
-		Partitions: 4, Paranoid: true,
-	}, inj.Factory())
-
-	start := time.Now()
-	_, err := core.Supervise(context.Background(), eng, c, stim,
-		core.SuperviseConfig{Timeout: 30 * time.Second, StallTimeout: 300 * time.Millisecond})
-	var ee *core.EngineError
-	if !errors.As(err, &ee) {
-		t.Fatalf("deadlocked run returned %v, want *EngineError", err)
-	}
-	if ee.Reason != core.FailStall {
-		t.Fatalf("reason = %q, want %q (err: %v)", ee.Reason, core.FailStall, err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("watchdog took %v to trip a 300ms stall window", elapsed)
-	}
-	// The diagnostic snapshot must describe each LP: clock, inbox depth,
-	// and what it is blocked on.
-	for lp := 0; lp < 4; lp++ {
-		if !strings.Contains(ee.Diag, fmt.Sprintf("lp %d:", lp)) {
-			t.Fatalf("diagnostics missing lp %d:\n%s", lp, ee.Diag)
-		}
-	}
-	if !strings.Contains(ee.Diag, "blocked-recv") {
-		t.Fatalf("diagnostics show no blocked LP:\n%s", ee.Diag)
-	}
-	if inj.Stats.DroppedNulls.Load() == 0 {
-		t.Fatal("injector dropped no nulls; the deadlock was not induced")
-	}
-	settleGoroutines(t, base)
-}
-
-// TestChaosDeadlockQuiesceLPHJ induces the same null-suppression
-// deadlock in the fused lp-hj engine, where nothing ever blocks: the
-// starved LPs yield with empty mailboxes, the runtime quiesces, and
-// collection detects the deadlock immediately — the engine must report
-// the same structured FailStall with per-LP diagnostics as the
-// goroutine engine's watchdog, without waiting for any stall window.
+// TestChaosDeadlockQuiesceLPHJ induces the classic conservative-PDES
+// deadlock — null messages suppressed on every edge. Nothing in lp-hj
+// ever blocks: the starved LPs yield with empty mailboxes, the runtime
+// quiesces, and collection detects the deadlock immediately — the engine
+// must report a structured FailStall with per-LP diagnostics, as a stall
+// watchdog would, without waiting for any stall window.
 func TestChaosDeadlockQuiesceLPHJ(t *testing.T) {
 	c := circuit.KoggeStone(16)
 	stim := circuit.RandomStimulus(c, 4, c.SettleTime()+10, 9)
@@ -194,32 +149,50 @@ func TestChaosDeadlockQuiesceLPHJ(t *testing.T) {
 	settleGoroutines(t, base)
 }
 
-// TestChaosBackpressureInboxCapOne pins the bounded-inbox deadlock-freedom
-// claim at its most hostile setting: capacity-1 inboxes, delay chaos
-// holding events back, and partition counts that include a 2-LP cycle
-// (KoggeStone's quotient graph at k=2 is a two-node cycle).
-func TestChaosBackpressureInboxCapOne(t *testing.T) {
+// TestChaosDeadlockWatchdog runs the same induced deadlock under Supervise
+// with the stall watchdog armed: the supervised run must fail with the
+// engine's FailStall, not the watchdog's, well inside the stall window,
+// and its diagnostics must describe every LP and show one waiting for mail.
+func TestChaosDeadlockWatchdog(t *testing.T) {
 	c := circuit.KoggeStone(16)
-	for _, k := range []int{2, 3, 8} {
-		for seed := int64(0); seed < 5; seed++ {
-			stim := circuit.RandomStimulus(c, 6, c.SettleTime()+10, 100+seed)
-			want := seqReference(t, c, stim)
+	stim := circuit.RandomStimulus(c, 4, c.SettleTime()+10, 9)
+	base := runtime.NumGoroutine()
 
-			inj := chaos.New(chaos.Config{Seed: seed, DelayProb: 0.5, DupNullProb: 0.2})
-			eng := core.NewLPIntercepted(core.Options{
-				Partitions: k, Paranoid: true, LPInboxCap: 1,
-			}, inj.Factory())
+	inj := chaos.New(chaos.Config{Seed: 9, DropNulls: true})
+	eng := core.NewLPHJIntercepted(core.Options{
+		Partitions: 4, Paranoid: true,
+	}, inj.Factory())
 
-			got, err := core.Supervise(context.Background(), eng, c, stim,
-				core.SuperviseConfig{Timeout: 30 * time.Second, StallTimeout: 10 * time.Second})
-			if err != nil {
-				t.Fatalf("k=%d seed=%d cap=1: %v (chaos %s)", k, seed, err, inj.Stats.String())
-			}
-			if ok, diff := core.SameOutputs(want, got); !ok {
-				t.Fatalf("k=%d seed=%d cap=1: wrong outputs: %s", k, seed, diff)
-			}
+	const stallWindow = 10 * time.Second
+	start := time.Now()
+	_, err := core.Supervise(context.Background(), eng, c, stim,
+		core.SuperviseConfig{Timeout: 30 * time.Second, StallTimeout: stallWindow})
+	var ee *core.EngineError
+	if !errors.As(err, &ee) {
+		t.Fatalf("deadlocked run returned %v, want *EngineError", err)
+	}
+	if ee.Reason != core.FailStall {
+		t.Fatalf("reason = %q, want %q (err: %v)", ee.Reason, core.FailStall, err)
+	}
+	var de *lp.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("supervised stall does not wrap *lp.DeadlockError: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed >= stallWindow {
+		t.Fatalf("deadlock surfaced after %v, the watchdog's window", elapsed)
+	}
+	for lpID := 0; lpID < 4; lpID++ {
+		if !strings.Contains(ee.Diag, fmt.Sprintf("lp %d:", lpID)) {
+			t.Fatalf("diagnostics missing lp %d:\n%s", lpID, ee.Diag)
 		}
 	}
+	if !strings.Contains(ee.Diag, "state=waiting") {
+		t.Fatalf("diagnostics show no LP waiting for mail:\n%s", ee.Diag)
+	}
+	if inj.Stats.DroppedNulls.Load() == 0 {
+		t.Fatal("injector dropped no nulls; the deadlock was not induced")
+	}
+	settleGoroutines(t, base)
 }
 
 // TestChaosSpecRoundTrip keeps the -chaos flag grammar honest.
@@ -283,7 +256,7 @@ func TestChaosDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestLPHJChaosSweepBitExact is the lp-hj twin of
+// TestLPHJChaosSweepBitExact is the over-decomposed twin of
 // TestChaosNeverSilentlyWrong, sweeping the partition counts where the
 // fused engine matters (K up to 64, far above the worker count): 200
 // seeded runs under message chaos — delays, duplicated nulls, and

@@ -14,7 +14,7 @@ import (
 // SchedConfig tunes the scheduler-level injector: faults inside the
 // parallel runtimes themselves (hj workers, galois activities, timewarp
 // rounds, actor loops, even the sequential workset loop), complementing
-// the lp inbox injector above. The zero value injects nothing.
+// the lp mailbox injector above. The zero value injects nothing.
 type SchedConfig struct {
 	// Seed drives every fault decision; same seed, same faults.
 	Seed int64
@@ -82,7 +82,7 @@ func (p InjectedPanic) Error() string {
 }
 
 // SchedInjector injects scheduler-level faults through core.ChaosHooks.
-// Unlike the lp interceptor — whose decisions can key off one goroutine's
+// Unlike the lp interceptor — whose decisions can key off one LP's
 // private send sequence — scheduler hooks fire from many workers at once,
 // so decisions must not depend on shared RNG *state* (the interleaving
 // would change the fault pattern and break run-to-run determinism of the

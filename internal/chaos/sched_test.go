@@ -99,12 +99,32 @@ func TestSchedStatsMetrics(t *testing.T) {
 // one representative registry name.
 var schedFamilies = []string{"seq", "hj", "galois", "galois-ordered", "actor", "timewarp", "tw-hj"}
 
-// runResilientChaos runs the named engine under core.Resilient with the
-// given injector wired in, a seq fallback, and full checkpointing.
+// hjAblations are hj's scheduler ablations: Options fields, not
+// registry names. The soak runs each as an extra row, named by the
+// Engine.Name hj gives it.
+var hjAblations = []func(core.Options) core.Options{
+	func(o core.Options) core.Options { o.NoAffinity = true; return o },
+	func(o core.Options) core.Options { o.SingleSteal = true; return o },
+}
+
+// newChaosEngine builds the registered engine name, or hj under the
+// ablation whose Engine.Name is name.
+func newChaosEngine(name string, opts core.Options) (core.Engine, error) {
+	for _, ablate := range hjAblations {
+		if e := core.NewHJ(ablate(opts)); e.Name() == name {
+			return e, nil
+		}
+	}
+	return core.NewEngine(name, opts)
+}
+
+// runResilientChaos runs the named engine (or hj ablation) under
+// core.Resilient with the given injector wired in, a seq fallback, and
+// full checkpointing.
 func runResilientChaos(t *testing.T, name string, c *circuit.Circuit, stim *circuit.Stimulus, inj *chaos.SchedInjector) *core.Result {
 	t.Helper()
 	opts := core.Options{Workers: 4, CheckpointEvery: 1, Chaos: inj.Hooks()}
-	e, err := core.NewEngine(name, opts)
+	e, err := newChaosEngine(name, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,12 +264,12 @@ func TestRollbackStormTWHJ(t *testing.T) {
 }
 
 // TestChaosSoakAllEngines is the full recovery soak: every registered
-// engine × every scheduler fault kind × several seeds, each run under
-// core.Resilient with checkpoint-resume and a seq fallback, each output
-// compared bit for bit against the sequential oracle. The lp engine takes
-// its faults through the inbox injector instead (delayed releases,
-// duplicated nulls, kill-and-restart) since its chaos surface is the
-// message plane, not a shared scheduler. ~200 runs; -short trims the seed
+// engine and hj ablation × every scheduler fault kind × several seeds,
+// each run under core.Resilient with checkpoint-resume and a seq
+// fallback, each output compared bit for bit against the sequential
+// oracle. The lp-hj-msg rows run lp-hj with its faults on the message
+// plane instead (delayed releases, duplicated nulls, kill-and-restart
+// through the mailbox interceptor). ~230 runs; -short trims the seed
 // axis, CI's chaos-soak job runs the full matrix under -race.
 func TestChaosSoakAllEngines(t *testing.T) {
 	c := circuit.ParityChain(12)
@@ -261,13 +281,17 @@ func TestChaosSoakAllEngines(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	kinds := []string{"panic", "wakedrop", "rollback"}
-	for _, name := range core.EngineNames() {
+	rows := core.EngineNames()
+	for _, ablate := range hjAblations {
+		rows = append(rows, core.NewHJ(ablate(core.Options{})).Name())
+	}
+	for _, name := range append(rows, "lp-hj-msg") {
 		for _, kind := range kinds {
 			for _, seed := range seeds {
 				t.Run(fmt.Sprintf("%s/%s/seed%d", name, kind, seed), func(t *testing.T) {
 					t.Parallel()
 					var res *core.Result
-					if name == "lp" {
+					if name == "lp-hj-msg" {
 						res = runResilientLPChaos(t, kind, seed, c, stim)
 					} else {
 						inj := chaos.NewSched(schedConfigFor(kind, seed))
@@ -298,8 +322,8 @@ func schedConfigFor(kind string, seed int64) chaos.SchedConfig {
 	return cfg
 }
 
-// runResilientLPChaos drives the lp engine through the message-plane
-// injector under the same resilient envelope as the scheduler families.
+// runResilientLPChaos drives lp-hj through the message-plane injector
+// under the same resilient envelope as the scheduler families.
 func runResilientLPChaos(t *testing.T, kind string, seed int64, c *circuit.Circuit, stim *circuit.Stimulus) *core.Result {
 	t.Helper()
 	cfg := chaos.Config{Seed: seed}
@@ -313,7 +337,7 @@ func runResilientLPChaos(t *testing.T, kind string, seed int64, c *circuit.Circu
 	}
 	inj := chaos.New(cfg)
 	opts := core.Options{Partitions: 3, CheckpointEvery: 1}
-	e := core.NewLPIntercepted(opts, inj.Factory())
+	e := core.NewLPHJIntercepted(opts, inj.Factory())
 	res, err := core.Resilient(nil, e, c, stim, core.ResilientConfig{
 		Supervise: core.SuperviseConfig{Timeout: 30 * time.Second, StallTimeout: 5 * time.Second},
 		Retry:     core.RetryPolicy{Retries: 2, Backoff: time.Millisecond, Seed: seed},
@@ -321,7 +345,7 @@ func runResilientLPChaos(t *testing.T, kind string, seed int64, c *circuit.Circu
 		Options:   opts,
 	})
 	if err != nil {
-		t.Fatalf("lp chaotic run (%s) failed: %v", kind, err)
+		t.Fatalf("lp-hj message-plane chaotic run (%s) failed: %v", kind, err)
 	}
 	return res
 }

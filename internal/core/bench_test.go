@@ -89,18 +89,14 @@ func BenchmarkProfileMultiplier6(b *testing.B) {
 	}
 }
 
-// benchLPFamily measures a whole over-decomposed run (K partitions on a
-// few workers) of one lp-family engine: the goroutine-per-LP engine vs
-// the fused task-per-LP engine on the same circuit, stimulus and
-// partition plan. Allocs/op is the headline here — the fused engine's
-// idle LPs must not pay goroutine or channel costs.
-func benchLPFamily(b *testing.B, name string, k int) {
+// benchLPHJ measures a whole over-decomposed lp-hj run (K partitions on
+// a few workers). Allocs/op is the headline here: idle LPs must cost an
+// unscheduled task, not a goroutine or a channel.
+func benchLPHJ(b *testing.B, opts Options) {
 	c := circuit.KoggeStone(64)
 	stim := circuit.RandomStimulus(c, 20, c.SettleTime()+10, 1)
-	e, err := NewEngine(name, Options{Workers: 4, Partitions: k, DiscardOutputs: true})
-	if err != nil {
-		b.Fatal(err)
-	}
+	opts.DiscardOutputs = true
+	e := NewLPHJ(opts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -110,21 +106,8 @@ func benchLPFamily(b *testing.B, name string, k int) {
 	}
 }
 
-func BenchmarkLPGoroutineK64(b *testing.B) { benchLPFamily(b, "lp", 64) }
-func BenchmarkLPHJK64(b *testing.B)       { benchLPFamily(b, "lp-hj", 64) }
+func BenchmarkLPHJK64(b *testing.B) { benchLPHJ(b, Options{Workers: 4, Partitions: 64}) }
 
 func BenchmarkLPHJK64NoAff(b *testing.B) {
-	c := circuit.KoggeStone(64)
-	stim := circuit.RandomStimulus(c, 20, c.SettleTime()+10, 1)
-	e, err := NewEngine("lp-hj", Options{Workers: 4, Partitions: 64, DiscardOutputs: true, NoAffinity: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(c, stim); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchLPHJ(b, Options{Workers: 4, Partitions: 64, NoAffinity: true})
 }

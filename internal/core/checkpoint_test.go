@@ -80,9 +80,9 @@ func TestSliceStimulusPartitions(t *testing.T) {
 }
 
 // TestSegmentedMatchesSeqAllEngines is the engine-agnostic checkpoint
-// contract: every registered engine must implement Checkpointer, and a
-// fully segmented run (a snapshot at every wave boundary) must be
-// bit-exact with the unbroken sequential reference.
+// contract: every registered engine (and hj ablation) must implement
+// Checkpointer, and a fully segmented run (a snapshot at every wave
+// boundary) must be bit-exact with the unbroken sequential reference.
 func TestSegmentedMatchesSeqAllEngines(t *testing.T) {
 	c := circuit.KoggeStone(8)
 	stim, _ := checkpointStim(c, 6, 7)
@@ -91,9 +91,9 @@ func TestSegmentedMatchesSeqAllEngines(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential reference: %v", err)
 	}
-	for _, name := range EngineNames() {
+	for _, name := range engineRows() {
 		t.Run(name, func(t *testing.T) {
-			e, err := NewEngine(name, Options{Workers: 4, CheckpointEvery: 1})
+			e, err := newEngineRow(name, Options{Workers: 4, CheckpointEvery: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

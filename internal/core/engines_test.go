@@ -26,16 +26,75 @@ func testEngines(workers int) []Engine {
 		NewGaloisFine(Options{Workers: workers, Paranoid: true}),
 		NewOrdered(Options{Workers: workers, Paranoid: true}),
 		NewActor(Options{Workers: workers, Paranoid: true}),
-		NewLP(Options{Workers: workers, Paranoid: true}),
-		NewLP(Options{Partitions: 3, Paranoid: true}),
 		NewLPHJ(Options{Workers: workers, Paranoid: true}),
 		NewLPHJ(Options{Workers: workers, Partitions: 3, Paranoid: true}),
 		NewLPHJ(Options{Workers: 2, Partitions: 16, Paranoid: true}),
 		NewLPHJ(Options{Workers: workers, Partitions: 5, Paranoid: true, NoAffinity: true}),
+		newLPOneWorker(Options{Partitions: workers, Paranoid: true}),
+		newLPOneWorker(Options{Partitions: 3, Paranoid: true}),
 		NewTWHJ(Options{Workers: workers, Paranoid: true}),
-		NewTWHJ(Options{Workers: workers, Paranoid: true, TimeWarpWindow: 40, TimeWarpSaveEvery: 4}),
+		NewTWHJ(Options{Workers: workers, Paranoid: true, TimeWarpWindow: 40}),
 		NewTWHJ(Options{Workers: workers, Paranoid: true, TimeWarpAdaptive: true, NoAffinity: true}),
 	}
+}
+
+// hjAblations are hj's scheduler ablations: Options fields, not registry
+// names. The registry-driven tests run each as an extra row, named by the
+// Engine.Name hj gives it.
+var hjAblations = []func(Options) Options{
+	func(o Options) Options { o.NoAffinity = true; return o },
+	func(o Options) Options { o.SingleSteal = true; return o },
+}
+
+// lpOneWorkerRow is the row name of lp-hj run on a single hj worker
+// (newLPOneWorker). With every LP multiplexed onto one thread, a run
+// finishes only if no LP ever waits for another to run concurrently: the
+// property a blocking, thread-per-LP transport would not need.
+const lpOneWorkerRow = "lp"
+
+// newLPOneWorker returns lp-hj with Workers pinned to one. The LP count is
+// opts.Partitions, else the requested worker count. A negative worker
+// count is passed through for option validation to reject.
+func newLPOneWorker(opts Options) Engine {
+	if opts.Partitions == 0 && opts.Workers > 0 {
+		opts.Partitions = opts.Workers
+	}
+	if opts.Workers >= 0 {
+		opts.Workers = 1
+	}
+	return NewLPHJ(opts)
+}
+
+// rowName is e's subtest name: its Engine.Name, except lpOneWorkerRow for
+// lp-hj on a single worker.
+func rowName(e Engine) string {
+	if l, ok := e.(*lpHJEngine); ok && l.opts.Workers == 1 {
+		return lpOneWorkerRow
+	}
+	return e.Name()
+}
+
+// engineRows names every registered engine plus the hj ablations and
+// lpOneWorkerRow.
+func engineRows() []string {
+	rows := EngineNames()
+	for _, ablate := range hjAblations {
+		rows = append(rows, NewHJ(ablate(Options{})).Name())
+	}
+	return append(rows, lpOneWorkerRow)
+}
+
+// newEngineRow builds one engineRows entry with opts.
+func newEngineRow(name string, opts Options) (Engine, error) {
+	if name == lpOneWorkerRow {
+		return newLPOneWorker(opts), nil
+	}
+	for _, ablate := range hjAblations {
+		if e := NewHJ(ablate(opts)); e.Name() == name {
+			return e, nil
+		}
+	}
+	return NewEngine(name, opts)
 }
 
 // randomWaves builds n random input assignments for circuit c.
@@ -69,7 +128,7 @@ func verifyAllEngines(t *testing.T, c *circuit.Circuit, nWaves int, seed int64) 
 	}
 	for _, e := range testEngines(4) {
 		e := e
-		t.Run(e.Name(), func(t *testing.T) {
+		t.Run(rowName(e), func(t *testing.T) {
 			res, err := RunAndVerify(e, c, waves, period)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", e.Name(), c.Name, err)
@@ -316,13 +375,10 @@ func TestEngineNames(t *testing.T) {
 		"hj-naive":       NewHJ(Options{NaiveRespawn: true}),
 		"hj-isolated":    NewHJ(Options{GlobalIsolated: true}),
 		"hj-mutex":       NewHJ(Options{MutexLocks: true}),
-		"hj-noaff":       NewHJ(Options{NoAffinity: true}),
-		"hj-steal1":      NewHJ(Options{SingleSteal: true}),
 		"galois":         NewGalois(Options{}),
 		"galois-fine":    NewGaloisFine(Options{}),
 		"galois-ordered": NewOrdered(Options{}),
 		"actor":          NewActor(Options{}),
-		"lp":             NewLP(Options{}),
 		"lp-hj":          NewLPHJ(Options{}),
 	}
 	for name, e := range want {

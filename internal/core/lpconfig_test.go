@@ -7,16 +7,19 @@ import (
 	"hjdes/internal/circuit"
 )
 
-// TestLPOptionValidation checks that the lp-family engines reject
-// nonsensical Options up front with a structured, non-retryable
-// *EngineError (Reason=FailConfig) instead of a late panic, and that
-// sane defaults still run.
+// TestLPOptionValidation checks that the lp-hj engine, on its default
+// worker pool and on a single worker, rejects nonsensical Options up front
+// with a structured, non-retryable *EngineError (Reason=FailConfig)
+// instead of a late panic, and that sane defaults still run.
 func TestLPOptionValidation(t *testing.T) {
 	c := circuit.FullAdder()
 	stim := circuit.VectorWaves(c, randomWaves(c, 2, 9), c.SettleTime()+10)
-	factories := map[string]func(Options) Engine{
-		"lp":    NewLP,
-		"lp-hj": NewLPHJ,
+	rows := []struct {
+		name    string
+		factory func(Options) Engine
+	}{
+		{lpOneWorkerRow, newLPOneWorker},
+		{"lp-hj", NewLPHJ},
 	}
 	cases := []struct {
 		name   string
@@ -24,17 +27,15 @@ func TestLPOptionValidation(t *testing.T) {
 		wantOK bool
 	}{
 		{"defaults", Options{}, true},
-		{"explicit", Options{Workers: 2, Partitions: 3, LPInboxCap: 8}, true},
-		{"negative-inbox", Options{LPInboxCap: -1}, false},
-		{"huge-inbox", Options{LPInboxCap: 1 << 30}, false},
+		{"explicit", Options{Workers: 2, Partitions: 3}, true},
 		{"negative-partitions", Options{Partitions: -4}, false},
 		{"huge-partitions", Options{Partitions: 1 << 28}, false},
 		{"negative-workers", Options{Workers: -2}, false},
 	}
-	for engName, factory := range factories {
+	for _, row := range rows {
 		for _, tc := range cases {
-			t.Run(engName+"/"+tc.name, func(t *testing.T) {
-				res, err := factory(tc.opts).Run(c, stim)
+			t.Run(row.name+"/"+tc.name, func(t *testing.T) {
+				res, err := row.factory(tc.opts).Run(c, stim)
 				if tc.wantOK {
 					if err != nil {
 						t.Fatalf("valid options rejected: %v", err)
@@ -54,8 +55,8 @@ func TestLPOptionValidation(t *testing.T) {
 				if ee.Reason != FailConfig {
 					t.Fatalf("Reason = %q, want %q (err: %v)", ee.Reason, FailConfig, err)
 				}
-				if ee.Engine != engName {
-					t.Fatalf("Engine = %q, want %q", ee.Engine, engName)
+				if ee.Engine != "lp-hj" {
+					t.Fatalf("Engine = %q, want %q", ee.Engine, "lp-hj")
 				}
 				if Retryable(err) {
 					t.Fatalf("config errors must not be retryable: %v", err)

@@ -17,17 +17,17 @@ import (
 
 func init() { RegisterEngine("lp-hj", NewLPHJ) }
 
-// lpHJEngine fuses the partitioned logical-process protocol onto the hj
-// work-stealing runtime: the circuit is split into Options.Partitions
-// LPs exactly as the lp engine does, but each LP runs as an hj
-// IndexedTask on a small worker pool instead of its own goroutine —
-// lock-free MPSC mailboxes replace the bounded inbox channels, a
-// scheduled-flag dedup keeps at most one pending slice per LP, and each
-// slice runs every locally-safe event to completion (with lookahead
-// safe-window widening) before yielding. This is the configuration for
-// high partition counts (K >> workers), where goroutine-per-LP
-// oversubscribes the OS scheduler; the goroutine `lp` engine remains as
-// the ablation baseline.
+// lpHJEngine is the partitioned logical-process engine: the circuit is
+// split into Options.Partitions node-disjoint partitions
+// (internal/partition), and each partition is simulated by one logical
+// process exchanging timestamped messages under the Chandy–Misra–Bryant
+// null-message protocol (internal/lp). No mutable node state is shared
+// between LPs. Each LP runs as an hj IndexedTask on a small worker pool:
+// lock-free MPSC mailboxes carry the messages, a scheduled-flag dedup
+// keeps at most one pending slice per LP, and each slice runs every
+// locally-safe event to completion (with lookahead safe-window widening)
+// before yielding — so K may exceed the worker count by orders of
+// magnitude.
 //
 // The engine implements ContextEngine (cancellation propagates into the
 // runtime and every slice), ProgressReporter and Diagnoser (lp.Probe),
@@ -44,7 +44,7 @@ type lpHJEngine struct {
 // cachedPlan memoizes the partition plan across runs of one engine
 // instance. The engine is built for repeated runs on a pooled runtime
 // (the serving path re-submits the same circuit many times), and the
-// plan is a pure function of (circuit, K) that lp.RunHJ only reads —
+// plan is a pure function of (circuit, K) that lp.Run only reads —
 // recomputing it dominated the per-run allocation profile. The key is
 // the circuit pointer: a rebuilt circuit misses and repartitions.
 type cachedPlan struct {
@@ -58,7 +58,8 @@ func NewLPHJ(opts Options) Engine { return &lpHJEngine{opts: opts} }
 
 // NewLPHJIntercepted returns an lp-hj engine whose LPs send every
 // cross-partition message through an interceptor built by newIC (one
-// per LP) — the same chaos boundary as NewLPIntercepted; slices are
+// per LP; nil leaves that LP untouched). This is the hook the
+// deterministic fault injector in internal/chaos plugs into; slices are
 // mutually exclusive per LP, so interceptor state needs no locking.
 func NewLPHJIntercepted(opts Options, newIC func(lp int) lp.Interceptor) Engine {
 	return &lpHJEngine{opts: opts, newIC: newIC}
@@ -79,8 +80,8 @@ func (e *lpHJEngine) Diagnose() string { return e.probe.Snapshot() }
 func (e *lpHJEngine) TraceRecorder() *obs.Recorder { return e.opts.Trace }
 
 // partitions resolves the LP count: Partitions, else Workers, else
-// GOMAXPROCS. Unlike the goroutine engine, K may usefully exceed the
-// worker count by orders of magnitude.
+// GOMAXPROCS. K may usefully exceed the worker count by orders of
+// magnitude.
 func (e *lpHJEngine) partitions() int {
 	if e.opts.Partitions > 0 {
 		return e.opts.Partitions
@@ -103,9 +104,12 @@ func (e *lpHJEngine) RunContext(ctx context.Context, c *circuit.Circuit, stim *c
 	return res, err
 }
 
-// RunFrom implements Checkpointer: settle-boundary segments, snapshots
-// into store, resume from the latest one (the same engine-agnostic
-// layer the goroutine lp engine uses; see lpEngine.RunFrom).
+// RunFrom implements Checkpointer. These settle-boundary snapshots are a
+// second, engine-agnostic checkpoint layer above lp's own in-run
+// crash-point checkpoints (§9): each segment runs the full CMB protocol
+// to NULL(∞) termination, so the saved state is trivially crash-consistent
+// (no mailbox state exists at a segment boundary), and a resume may hand
+// the state to a different engine family entirely.
 func (e *lpHJEngine) RunFrom(ctx context.Context, c *circuit.Circuit, stim *circuit.Stimulus, store *CheckpointStore) (*Result, error) {
 	return runSegmented(ctx, e, c, stim, e.opts.CheckpointEvery, store,
 		func(sctx context.Context, seg *circuit.Stimulus, rs *ResumeState) (*Result, ResumeState, error) {
@@ -186,7 +190,7 @@ func (e *lpHJEngine) run(ctx context.Context, c *circuit.Circuit, stim *circuit.
 		}()
 	}
 
-	res, err := lp.RunHJ(c, stim, plan, rt, cfg)
+	res, err := lp.Run(c, stim, plan, rt, cfg)
 	if err != nil {
 		var pe *lp.PanicError
 		if errors.As(err, &pe) {
@@ -205,13 +209,14 @@ func (e *lpHJEngine) run(ctx context.Context, c *circuit.Circuit, stim *circuit.
 		// Global starvation quiesces the runtime instead of blocking LPs
 		// (mailboxes never block), so a conservative deadlock is detected
 		// at collection time rather than by the stall watchdog. Map it to
-		// the same structured stall, with the per-LP probe snapshot the
-		// watchdog would have attached.
+		// the same structured stall, with the diagnostics the watchdog
+		// would have attached: the per-LP probe snapshot and the flight
+		// recorder's tail.
 		var de *lp.DeadlockError
 		if errors.As(err, &de) {
 			return nil, ResumeState{}, &EngineError{
 				Engine: e.Name(), Unit: fmt.Sprintf("lp %d", plan.Assign[de.Node]),
-				Reason: FailStall, Diag: e.probe.Snapshot(), Err: de,
+				Reason: FailStall, Diag: diagnose(e), Err: de,
 			}
 		}
 		return nil, ResumeState{}, err
@@ -239,20 +244,13 @@ func (e *lpHJEngine) run(ctx context.Context, c *circuit.Circuit, stim *circuit.
 
 // validateLPOptions rejects nonsensical LP-engine options up front with
 // a structured, non-retryable *EngineError, instead of letting them
-// surface later as an allocation panic (a huge InboxCap backs a channel
-// allocation) or a confusing partitioner error. Shared by the lp and
-// lp-hj engines.
+// surface later as an allocation panic or a confusing partitioner error.
 func validateLPOptions(engine string, opts Options) error {
 	bad := func(format string, args ...any) error {
 		return &EngineError{Engine: engine, Reason: FailConfig, Err: fmt.Errorf(format, args...)}
 	}
-	const maxInboxCap = 1 << 24 // 16M batches: far beyond any sane bound, small enough to allocate
 	const maxPartitions = 1 << 20
 	switch {
-	case opts.LPInboxCap < 0:
-		return bad("LPInboxCap %d is negative (0 means the default)", opts.LPInboxCap)
-	case opts.LPInboxCap > maxInboxCap:
-		return bad("LPInboxCap %d exceeds the %d maximum", opts.LPInboxCap, maxInboxCap)
 	case opts.Partitions < 0:
 		return bad("Partitions %d is negative (0 derives the count from Workers)", opts.Partitions)
 	case opts.Partitions > maxPartitions:

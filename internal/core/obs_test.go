@@ -16,13 +16,13 @@ import (
 )
 
 // TestTracedLPKoggestone is the acceptance run for the flight recorder:
-// a traced koggestone-64 lp run must emit Chrome trace_event JSON that
-// parses and carries events from at least two worker (LP) tracks.
+// a traced koggestone-64 lp-hj run must emit Chrome trace_event JSON that
+// parses and carries events from at least two LP tracks.
 func TestTracedLPKoggestone(t *testing.T) {
 	c := circuit.KoggeStone(64)
 	stim := circuit.RandomStimulus(c, 4, c.SettleTime()+10, 1)
 	rec := obs.NewRecorder(0)
-	eng := core.NewLP(core.Options{Partitions: 4, Paranoid: true, Trace: rec})
+	eng := core.NewLPHJ(core.Options{Partitions: 4, Paranoid: true, Trace: rec})
 	res, err := eng.Run(c, stim)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestTracedLPKoggestone(t *testing.T) {
 	if len(tids) < 2 {
 		t.Fatalf("trace covers %d worker tracks, want >= 2 (tids: %v)", len(tids), tids)
 	}
-	// A conservative lp run must at minimum ship batches and apply them.
+	// A conservative LP run must at minimum ship batches and apply them.
 	for _, want := range []string{"lp-send", "lp-recv"} {
 		if !names[want] {
 			t.Fatalf("trace has no %q events (saw %v)", want, names)
@@ -81,7 +81,7 @@ func TestMetricsAllEngines(t *testing.T) {
 	}{
 		{"seq", core.NewSequential, []string{"events"}},
 		{"hj", core.NewHJ, []string{"events", "hj.spawns", "hj.steals", "hj.parks"}},
-		{"lp", core.NewLP, []string{"events", "lp.partitions", "lp.event_msgs", "lp.null_msgs", "lp.batches"}},
+		{"lp-hj", core.NewLPHJ, []string{"events", "lp.partitions", "lp.event_msgs", "lp.null_msgs", "lp.batches"}},
 		{"galois", core.NewGalois, []string{"events", "galois.committed"}},
 		{"timewarp", core.NewTimeWarp, []string{"events", "tw.rounds", "hj.spawns"}},
 	}
@@ -113,7 +113,7 @@ func TestMetricsAllEngines(t *testing.T) {
 			t.Errorf("registry counter %q = 0 after all-engine sweep (have: %s)", k, snap.Counters)
 		}
 	}
-	// The lp engine observes live batch sizes on the registry's histogram.
+	// The lp-hj engine observes live batch sizes on the registry's histogram.
 	h, ok := snap.Hists["lp.batch_size"]
 	if !ok || h.Count == 0 {
 		t.Fatalf("lp.batch_size histogram empty: %+v (hists: %v)", h, snap.Hists)
@@ -124,16 +124,16 @@ func TestMetricsAllEngines(t *testing.T) {
 }
 
 // TestWatchdogDiagIncludesTraceTail induces the drop-nulls deadlock with
-// tracing enabled and requires the stall watchdog's diagnostic dump to
-// carry the flight-recorder tail — the last events each LP recorded
-// before wedging.
+// tracing enabled and requires the stall's diagnostic dump to carry the
+// flight-recorder tail — the last events each LP recorded before
+// wedging — as a watchdog-detected stall's would.
 func TestWatchdogDiagIncludesTraceTail(t *testing.T) {
 	c := circuit.KoggeStone(16)
 	stim := circuit.RandomStimulus(c, 4, c.SettleTime()+10, 9)
 	rec := obs.NewRecorder(0)
 
 	inj := chaos.New(chaos.Config{Seed: 9, DropNulls: true})
-	eng := core.NewLPIntercepted(core.Options{
+	eng := core.NewLPHJIntercepted(core.Options{
 		Partitions: 4, Paranoid: true, Trace: rec,
 	}, inj.Factory())
 
@@ -154,7 +154,7 @@ func TestWatchdogDiagIncludesTraceTail(t *testing.T) {
 	if !strings.Contains(ee.Diag, "[shard ") {
 		t.Fatalf("flight-recorder tail has no shard-attributed events:\n%s", ee.Diag)
 	}
-	for _, want := range []string{"lp-send", "lp-block"} {
+	for _, want := range []string{"lp-send", "lp-slice"} {
 		if !strings.Contains(ee.Diag, want) {
 			t.Fatalf("flight-recorder tail missing %q events:\n%s", want, ee.Diag)
 		}
@@ -166,7 +166,7 @@ func TestWatchdogDiagIncludesTraceTail(t *testing.T) {
 func TestUntracedRunHasNoRecorder(t *testing.T) {
 	c := circuit.KoggeStone(16)
 	stim := circuit.RandomStimulus(c, 2, c.SettleTime()+10, 3)
-	res, err := core.NewLP(core.Options{Partitions: 2, Paranoid: true}).Run(c, stim)
+	res, err := core.NewLPHJ(core.Options{Partitions: 2, Paranoid: true}).Run(c, stim)
 	if err != nil {
 		t.Fatal(err)
 	}

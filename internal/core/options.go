@@ -44,31 +44,18 @@ type Options struct {
 	// AtomicBoolean-vs-ReentrantLock comparison).
 	MutexLocks bool
 
-	// Partitions is the LP engine's logical-process count: the circuit
-	// is split into this many partitions, each simulated by one
-	// goroutine exchanging Chandy–Misra–Bryant messages. Zero means
-	// Workers (and GOMAXPROCS when that is also zero). Ignored by the
-	// other engines.
+	// Partitions is the lp-hj engine's logical-process count: the
+	// circuit is split into this many partitions, each simulated by one
+	// logical process exchanging Chandy–Misra–Bryant messages as an hj
+	// task. Zero means Workers (and GOMAXPROCS when that is also zero).
+	// Ignored by the other engines.
 	Partitions int
-
-	// LPInboxCap bounds each logical process's inbox channel (LP engine
-	// only). Zero means lp.DefaultInboxCap. Small values exercise the
-	// protocol's backpressure path; the chaos tests run with capacity 1.
-	LPInboxCap int
 
 	// TimeWarpWindow bounds the optimistic engines' speculation: a node
 	// never runs more than this far ahead of its earliest pending event.
 	// Zero means no window (tw-hj still bounds itself to a few events past
 	// what its input ports vouch for). Ignored by other engines.
 	TimeWarpWindow int64
-
-	// TimeWarpSaveEvery was tw-hj's incremental state-saving interval
-	// (pre-event state logged on every Nth event, rollback coast-forwarding
-	// from the nearest anchor). tw-hj's flat rollback record now carries
-	// the two-byte pre-state on every event, so the interval changes
-	// nothing; the field is still range-checked so existing callers and
-	// job specs keep working. Ignored by every other engine.
-	TimeWarpSaveEvery int
 
 	// TimeWarpAdaptive lets the barrier-free optimistic engine (tw-hj)
 	// throttle its own optimism: the GVT sweep widens or narrows the

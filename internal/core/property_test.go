@@ -41,10 +41,10 @@ func TestPropertyRandomCircuitEnginesAgree(t *testing.T) {
 			NewHJ(Options{Workers: 3, SingleSteal: true}),
 			NewGalois(Options{Workers: 2}),
 			NewActor(Options{}),
-			NewLP(Options{Partitions: 1}),
-			NewLP(Options{Partitions: 2}),
-			NewLP(Options{Partitions: 3}),
-			NewLP(Options{Partitions: 8}),
+			NewLPHJ(Options{Partitions: 1}),
+			NewLPHJ(Options{Partitions: 2}),
+			NewLPHJ(Options{Partitions: 3}),
+			NewLPHJ(Options{Partitions: 8}),
 		}
 		for _, e := range engines {
 			res, err := RunAndVerify(e, c, waves, period)
@@ -163,7 +163,7 @@ func TestChangedStimulusSameSettledOutputs(t *testing.T) {
 	}
 }
 
-// TestPropertyLPPartitionSweep: the LP engine must agree exactly with
+// TestPropertyLPPartitionSweep: the lp-hj engine must agree exactly with
 // the sequential reference on the paper's circuit families and on random
 // DAGs, at partition counts spanning the degenerate single-LP case,
 // small counts, and counts exceeding the worker parallelism — and every
@@ -184,7 +184,7 @@ func TestPropertyLPPartitionSweep(t *testing.T) {
 		}
 		for _, k := range []int{1, 2, 3, 8} {
 			// Workers below the partition count exercises K > workers.
-			e := NewLP(Options{Partitions: k, Workers: 2, Paranoid: true})
+			e := NewLPHJ(Options{Partitions: k, Workers: 2, Paranoid: true})
 			res, err := RunAndVerify(e, c, waves, period)
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", c.Name, k, err)
@@ -192,8 +192,8 @@ func TestPropertyLPPartitionSweep(t *testing.T) {
 			if ok, diff := SameOutputs(ref, res); !ok {
 				t.Fatalf("%s k=%d disagrees with seq: %s", c.Name, k, diff)
 			}
-			if res.Workers != k {
-				t.Fatalf("%s k=%d: Result.Workers = %d", c.Name, k, res.Workers)
+			if res.Workers != 2 {
+				t.Fatalf("%s k=%d: Result.Workers = %d, want the 2 runtime workers", c.Name, k, res.Workers)
 			}
 			s := res.LP
 			if s.Partitions != k {

@@ -14,21 +14,20 @@ type EngineFactory func(Options) Engine
 // registryMu so engines may be registered and resolved from concurrent
 // goroutines (harness sweeps, parallel tests). Every engine registers
 // here once; cmd/dessim, the harness and the tests all resolve engines
-// through it instead of keeping their own switch statements.
+// through it instead of keeping their own switch statements. Ablations
+// (hj's NoAffinity, SingleSteal, ...) are Options fields on a registered
+// engine, not names of their own.
 var (
 	registryMu     sync.RWMutex
 	engineRegistry = map[string]EngineFactory{
 		"seq":            NewSequential,
 		"seq-pq":         NewSequentialPQ,
 		"hj":             NewHJ,
-		"hj-noaff":       func(o Options) Engine { o.NoAffinity = true; return NewHJ(o) },
-		"hj-steal1":      func(o Options) Engine { o.SingleSteal = true; return NewHJ(o) },
 		"galois":         NewGalois,
 		"galois-fine":    NewGaloisFine,
 		"galois-ordered": NewOrdered,
 		"actor":          NewActor,
 		"timewarp":       NewTimeWarp,
-		"lp":             NewLP,
 	}
 )
 

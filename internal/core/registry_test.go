@@ -100,7 +100,7 @@ func TestEngineNamesSorted(t *testing.T) {
 	if !sort.StringsAreSorted(names) {
 		t.Fatalf("EngineNames not sorted: %v", names)
 	}
-	for _, want := range []string{"seq", "hj", "lp", "lp-hj", "galois", "actor", "timewarp", "tw-hj"} {
+	for _, want := range []string{"seq", "hj", "lp-hj", "galois", "actor", "timewarp", "tw-hj"} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -110,6 +110,17 @@ func TestEngineNamesSorted(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("EngineNames missing %q: %v", want, names)
+		}
+	}
+	// Ablations are Options fields, not registry names, and the CMB
+	// protocol has one engine.
+	gone := map[string]bool{"lp": true}
+	for _, ablate := range hjAblations {
+		gone[NewHJ(ablate(Options{})).Name()] = true
+	}
+	for _, n := range names {
+		if gone[n] {
+			t.Errorf("EngineNames lists %q: %v", n, names)
 		}
 	}
 	names[0] = "zzz-mutated"

@@ -49,7 +49,7 @@ type ResilientConfig struct {
 	// Retry is the per-engine retry budget and backoff schedule.
 	Retry RetryPolicy
 	// Fallback is the engine degradation chain, tried in order after the
-	// primary engine's retry budget is exhausted (e.g. "lp", "seq").
+	// primary engine's retry budget is exhausted (e.g. "lp-hj", "seq").
 	// Each name is resolved through the registry with Options.
 	Fallback []string
 	// Options builds the fallback engines and sets CheckpointEvery.

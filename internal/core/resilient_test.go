@@ -20,7 +20,7 @@ func TestEngineErrorClassification(t *testing.T) {
 		isCanceled bool
 	}{
 		{"panic", &EngineError{Engine: "hj", Reason: FailPanic, Value: "boom"}, true, false, false},
-		{"timeout", &EngineError{Engine: "lp", Reason: FailTimeout}, true, true, false},
+		{"timeout", &EngineError{Engine: "lp-hj", Reason: FailTimeout}, true, true, false},
 		{"stall", &EngineError{Engine: "galois", Reason: FailStall}, true, false, false},
 		{"cancel", &EngineError{Engine: "seq", Reason: FailCancel}, false, false, true},
 		{"wrapped panic", &EngineError{Engine: "actor", Reason: FailPanic, Err: inner}, true, false, false},

@@ -47,16 +47,17 @@ func settleGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestPanicContainmentAllEngines drives every registered engine into a
-// worker panic via the poison gate and requires a structured *EngineError
-// (never a process crash) and no leaked goroutines.
+// TestPanicContainmentAllEngines drives every registered engine (and the
+// hj ablations) into a worker panic via the poison gate and requires a
+// structured *EngineError (never a process crash) and no leaked
+// goroutines.
 func TestPanicContainmentAllEngines(t *testing.T) {
 	c := poisonCircuit()
 	stim := circuit.RandomStimulus(c, 4, c.SettleTime()+10, 1)
 	base := runtime.NumGoroutine()
-	for _, name := range EngineNames() {
+	for _, name := range engineRows() {
 		t.Run(name, func(t *testing.T) {
-			eng, err := NewEngine(name, Options{Workers: 4, Partitions: 2})
+			eng, err := newEngineRow(name, Options{Workers: 4, Partitions: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,9 +147,9 @@ func TestSuperviseCancelPropagates(t *testing.T) {
 func TestSuperviseHealthyRunsUnchanged(t *testing.T) {
 	c := circuit.KoggeStone(8)
 	stim := circuit.RandomStimulus(c, 4, c.SettleTime()+10, 3)
-	for _, name := range EngineNames() {
+	for _, name := range engineRows() {
 		t.Run(name, func(t *testing.T) {
-			eng, err := NewEngine(name, Options{Workers: 2, Partitions: 2, Paranoid: true})
+			eng, err := newEngineRow(name, Options{Workers: 2, Partitions: 2, Paranoid: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +157,7 @@ func TestSuperviseHealthyRunsUnchanged(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng2, _ := NewEngine(name, Options{Workers: 2, Partitions: 2, Paranoid: true})
+			eng2, _ := newEngineRow(name, Options{Workers: 2, Partitions: 2, Paranoid: true})
 			sup, err := Supervise(context.Background(), eng2, c, stim,
 				SuperviseConfig{Timeout: 60 * time.Second, StallTimeout: 20 * time.Second})
 			if err != nil {
@@ -171,8 +172,8 @@ func TestSuperviseHealthyRunsUnchanged(t *testing.T) {
 
 // TestEngineErrorFormat pins the rendered failure shape scripts grep for.
 func TestEngineErrorFormat(t *testing.T) {
-	ee := &EngineError{Engine: "lp", Unit: "lp 3", Reason: FailPanic, Value: "boom"}
-	want := "core: lp lp 3: panic: boom"
+	ee := &EngineError{Engine: "lp-hj", Unit: "lp 3", Reason: FailPanic, Value: "boom"}
+	want := "core: lp-hj lp 3: panic: boom"
 	if got := ee.Error(); got != want {
 		t.Fatalf("Error() = %q, want %q", got, want)
 	}

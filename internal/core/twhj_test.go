@@ -52,16 +52,6 @@ func TestTWHJWindows(t *testing.T) {
 	}
 }
 
-// Incremental state saving is semantics-preserving for every interval:
-// coast-forward from the nearest anchor must reconstruct exactly the
-// state full saving would have restored.
-func TestTWHJSaveEvery(t *testing.T) {
-	c := circuit.TreeMultiplier(5)
-	for _, se := range []int{0, 1, 2, 3, 7, 64, 1 << 20} {
-		twVerify(t, NewTWHJ(Options{TimeWarpSaveEvery: se, Paranoid: true}), c, 4, 54)
-	}
-}
-
 // Adaptive throttling only moves the effective window; results are
 // invariant, seeded from settle time when no window is given.
 func TestTWHJAdaptive(t *testing.T) {
@@ -170,8 +160,6 @@ func TestTWHJOptionValidation(t *testing.T) {
 	for _, opts := range []Options{
 		{Workers: -1},
 		{TimeWarpWindow: -5},
-		{TimeWarpSaveEvery: -1},
-		{TimeWarpSaveEvery: 1 << 21},
 	} {
 		_, err := NewTWHJ(opts).Run(c, stim)
 		var ee *EngineError
@@ -187,10 +175,11 @@ func TestTWHJOptionValidation(t *testing.T) {
 // count (thousands of same-wave glitch events per port). Rolled-back work
 // must stay below committed work, and the run inside a wall-time ceiling
 // an order of magnitude above what it takes — the old behaviour missed
-// both by factors of 30 to 300.
+// both by factors of 30 to 300. The ceilings are skipped under the race
+// detector, whose instrumentation is what such a timing would measure.
 func TestTWHJNoCliff(t *testing.T) {
 	if testing.Short() {
-		t.Skip("wall-time ceilings are not meaningful under -short/-race runs")
+		t.Skip("twelve full tw-hj runs on the paper circuits; skipped in -short mode")
 	}
 	for _, tc := range []struct {
 		c       *circuit.Circuit
@@ -216,7 +205,7 @@ func TestTWHJNoCliff(t *testing.T) {
 			if res.TimeWarp.Undone > res.TotalEvents {
 				t.Errorf("%s workers=%d: %d events undone to commit %d", tc.c.Name, workers, res.TimeWarp.Undone, res.TotalEvents)
 			}
-			if res.Elapsed > tc.ceiling {
+			if !raceEnabled && res.Elapsed > tc.ceiling {
 				t.Errorf("%s workers=%d: took %v, ceiling %v", tc.c.Name, workers, res.Elapsed, tc.ceiling)
 			}
 		}

@@ -44,9 +44,8 @@ func init() { RegisterEngine("tw-hj", NewTWHJ) }
 // node runs at most twhjSpecAllowance events past the point its input
 // ports vouch for, which bounds the depth of every straggler rollback.
 //
-// Options.TimeWarpWindow and Options.TimeWarpAdaptive throttle further,
-// as before; Options.TimeWarpSaveEvery is accepted and validated but no
-// longer changes anything, since every record carries its 2-byte
+// Options.TimeWarpWindow and Options.TimeWarpAdaptive throttle further.
+// There is no state-saving interval: every record carries its 2-byte
 // pre-state.
 //
 // The engine implements ContextEngine, ProgressReporter, Diagnoser,
@@ -373,16 +372,11 @@ func validateTWHJOptions(engine string, opts Options) error {
 	bad := func(format string, args ...any) error {
 		return &EngineError{Engine: engine, Reason: FailConfig, Err: fmt.Errorf(format, args...)}
 	}
-	const maxSaveEvery = 1 << 20
 	switch {
 	case opts.Workers < 0:
 		return bad("Workers %d is negative (0 means GOMAXPROCS)", opts.Workers)
 	case opts.TimeWarpWindow < 0:
 		return bad("TimeWarpWindow %d is negative (0 means unbounded)", opts.TimeWarpWindow)
-	case opts.TimeWarpSaveEvery < 0:
-		return bad("TimeWarpSaveEvery %d is negative", opts.TimeWarpSaveEvery)
-	case opts.TimeWarpSaveEvery > maxSaveEvery:
-		return bad("TimeWarpSaveEvery %d exceeds the %d maximum", opts.TimeWarpSaveEvery, maxSaveEvery)
 	}
 	return nil
 }

@@ -25,8 +25,8 @@ const BenchSchema = 3
 // to BENCH_*.json per PR). Timing fields follow the paper's reporting
 // conventions (min for headline, mean ± CI95 for error bars); allocation
 // fields are the benchmark notion of allocs/op; the message-layer fields
-// are populated for the lp engine only, where the null-message ratio is
-// the canonical CMB overhead metric.
+// are populated for the lp-hj engine only, where the null-message ratio
+// is the canonical CMB overhead metric.
 type BenchRecord struct {
 	Schema      int         `json:"schema"`
 	Engine      string      `json:"engine"`
@@ -80,9 +80,9 @@ func record(circuit string, m *Measurement) BenchRecord {
 }
 
 // BenchSweep runs the bench-trajectory suite: per circuit, the seq
-// baseline once, then the hj, lp and lp-hj engines across the configured
-// worker counts (the lp-family engines with one partition per worker).
-// It returns one record per configuration, in a deterministic order.
+// baseline once, then the hj and lp-hj engines across the configured
+// worker counts (lp-hj with one partition per worker). It returns one
+// record per configuration, in a deterministic order.
 func BenchSweep(cfg Config) ([]BenchRecord, error) {
 	// Every bench spec inherits the config's resilient envelope.
 	measure := func(spec Spec) (*Measurement, error) {
@@ -107,22 +107,16 @@ func BenchSweep(cfg Config) ([]BenchRecord, error) {
 			}
 			records = append(records, record(pc.Name, mHJ))
 			if cfg.HJAblations && w > 1 {
-				for _, abl := range []string{"hj-noaff", "hj-steal1"} {
-					mA, err := measure(Spec{Label: fmt.Sprintf("%s/%s/w%d", pc.Name, abl, w), Circuit: c, Stim: stim,
-						Factory: factory(abl, core.Options{}), Workers: w, Repeats: cfg.repeats(), Timeout: cfg.Timeout})
+				for _, abl := range []core.Options{{NoAffinity: true}, {SingleSteal: true}} {
+					f := factory("hj", abl)
+					mA, err := measure(Spec{Label: fmt.Sprintf("%s/%s/w%d", pc.Name, f(w).Name(), w), Circuit: c, Stim: stim,
+						Factory: f, Workers: w, Repeats: cfg.repeats(), Timeout: cfg.Timeout})
 					if err != nil {
 						return nil, err
 					}
 					records = append(records, record(pc.Name, mA))
 				}
 			}
-			mLP, err := measure(Spec{Label: fmt.Sprintf("%s/lp/w%d", pc.Name, w), Circuit: c, Stim: stim,
-				Factory: factory("lp", core.Options{Partitions: w}), Workers: w,
-				Repeats: cfg.repeats(), Timeout: cfg.Timeout})
-			if err != nil {
-				return nil, err
-			}
-			records = append(records, record(pc.Name, mLP))
 			mLPHJ, err := measure(Spec{Label: fmt.Sprintf("%s/lp-hj/w%d", pc.Name, w), Circuit: c, Stim: stim,
 				Factory: factory("lp-hj", core.Options{Partitions: w}), Workers: w,
 				Repeats: cfg.repeats(), Timeout: cfg.Timeout})
@@ -135,102 +129,27 @@ func BenchSweep(cfg Config) ([]BenchRecord, error) {
 	return records, nil
 }
 
-// LPKSweep is the over-decomposition trajectory: the goroutine lp engine
-// against the fused lp-hj engine at a fixed worker count (cfg.MaxWorkers)
-// across rising partition counts K. At K ≈ workers the two are
-// architecturally similar; the sweep exists to show the regime K >>
-// workers, where the goroutine engine pays one blocked goroutine (stack,
-// channel, park/unpark) per idle LP while lp-hj pays one unscheduled
-// IndexedTask (a mailbox pointer and an atomic flag). Records carry
-// Partitions so a trajectory diff can tell the K points apart.
-//
-// Unlike BenchSweep this measures the engines hand-rolled and
-// interleaved — repeat i of every engine runs before repeat i+1 of any —
-// because the comparison is a head-to-head of two engines whose true
-// difference is a few percent: block-wise measurement (all of one
-// engine's repeats, then the other's) lets slow drift in machine load
-// bias one side, which on small hosts is larger than the effect under
-// measurement. For the same reason the collector is paced off for the
-// duration of the sweep with an explicit GC at every repeat boundary:
-// both engines recycle hot-path buffers through sync.Pool-backed
-// arenas, which the collector wipes, so with automatic GC the allocs/op
-// column measures collector timing relative to pool occupancy — noise
-// an order of magnitude above the engines' structural difference —
-// instead of what the engines allocate. The explicit GC leaves those
-// pools empty, so an uncounted warmup run follows it before each
-// measured run: the measurement then reflects warm steady state (the
-// regime a pooled engine actually serves from) rather than charging
-// whichever engine keeps the larger transient working set for
-// repopulating the pools from scratch.
-func LPKSweep(cfg Config, ks []int) ([]BenchRecord, error) {
-	w := cfg.MaxWorkers
-	if w < 1 {
-		w = 1
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	names := []string{"lp", "lp-hj"}
-	var records []BenchRecord
-	for _, pc := range cfg.circuits() {
-		c := pc.Build()
-		stim := cfg.stimulus(c, pc)
-		for _, k := range ks {
-			ms := make([]*Measurement, len(names))
-			for i, name := range names {
-				ms[i] = &Measurement{
-					Label:    fmt.Sprintf("%s/%s/w%d/k%d", pc.Name, name, w, k),
-					Engine:   name,
-					Workers:  w,
-					Times:    stats.New(),
-					Attempts: 1,
-				}
-			}
-			engines := make([]core.Engine, len(names))
-			for i, name := range names {
-				engines[i] = factory(name, core.Options{Partitions: k})(w)
-			}
-			var before, after runtime.MemStats
-			for rep := 0; rep < cfg.repeats(); rep++ {
-				for i, e := range engines {
-					m := ms[i]
-					runtime.GC()
-					if _, err := e.Run(c, stim); err != nil { // uncounted pool-warming run
-						return nil, fmt.Errorf("harness: %s warmup %d: %w", m.Label, rep, err)
-					}
-					runtime.ReadMemStats(&before)
-					res, err := e.Run(c, stim)
-					runtime.ReadMemStats(&after)
-					if err != nil {
-						return nil, fmt.Errorf("harness: %s run %d: %w", m.Label, rep, err)
-					}
-					m.Events = res.TotalEvents
-					m.Times.Add(res.Elapsed.Seconds())
-					m.AllocsPerOp += after.Mallocs - before.Mallocs
-					m.BytesPerOp += after.TotalAlloc - before.TotalAlloc
-					if m.Best == nil || res.Elapsed < m.Best.Elapsed {
-						m.Best = res
-					}
-				}
-			}
-			for _, m := range ms {
-				m.AllocsPerOp /= uint64(cfg.repeats())
-				m.BytesPerOp /= uint64(cfg.repeats())
-				records = append(records, record(pc.Name, m))
-			}
-		}
-	}
-	return records, nil
-}
-
 // TWSweep is the optimistic-engine trajectory: the barrier-synchronized
 // timewarp engine (the ablation baseline, GVT at a global barrier every
 // round) against the barrier-free tw-hj engine across optimism windows ×
 // worker counts. Window 0 is unbounded optimism; a positive window W
 // bounds speculation to W ticks past each node's earliest pending event
 // (both engines share this local-window semantics, so the comparison
-// isolates the barrier). Measurement protocol is LPKSweep's: the engines
-// run interleaved repeat by repeat, the collector is paced off with an
-// explicit GC plus an uncounted pool-warming run at every repeat
-// boundary, and the head-to-head is decided on min_s.
+// isolates the barrier).
+//
+// Unlike BenchSweep this measures the engines hand-rolled and
+// interleaved — repeat i of every engine runs before repeat i+1 of any —
+// because the comparison is a head-to-head of two engines: block-wise
+// measurement (all of one engine's repeats, then the other's) lets slow
+// drift in machine load bias one side. For the same reason the
+// collector is paced off for the duration of the sweep with an explicit
+// GC at every repeat boundary: both engines recycle hot-path buffers
+// through sync.Pool-backed arenas, which the collector wipes, so with
+// automatic GC the allocs/op column would measure collector timing
+// relative to pool occupancy instead of what the engines allocate. The
+// explicit GC leaves those pools empty, so an uncounted warmup run
+// follows it before each measured run: the measurement reflects warm
+// steady state. The head-to-head is decided on min_s.
 func TWSweep(cfg Config, windows []int64) ([]BenchRecord, error) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	names := []string{"timewarp", "tw-hj"}

@@ -34,9 +34,10 @@ type Config struct {
 	// every experiment (useful for benchmarking your own circuits, and
 	// for fast test configurations). Defaults to PaperCircuits.
 	Circuits []PaperCircuit
-	// HJAblations adds the hj scheduler ablation rows (hj-noaff: no
-	// locality-aware wakeups; hj-steal1: single-task steal instead of
-	// steal-half) to the bench sweep at every worker count above one.
+	// HJAblations adds the hj scheduler ablation rows (hj built with
+	// NoAffinity — no locality-aware wakeups, reported as hj-noaff — and
+	// with SingleSteal — single-task steal instead of steal-half,
+	// hj-steal1) to the bench sweep at every worker count above one.
 	HJAblations bool
 	// Retries, Fallback and CheckpointEvery configure the resilient
 	// envelope for every measured run (see Spec); all zero means
@@ -458,23 +459,22 @@ func OrderedExp(cfg Config) (*Table, error) {
 // LPExp is the extension experiment for the partitioned logical-process
 // engine (the PARSIR-style architecture from PAPERS.md): each circuit is
 // split into K node-disjoint partitions, one message-passing LP per
-// partition, synchronized by Chandy–Misra–Bryant null messages. The
-// partition count is swept over the worker counts, reporting the
-// partition quality (edge-cut fraction, load imbalance) and the
-// null-message ratio — the canonical CMB overhead metric — next to the
-// runtime and the shared-memory HJ engine at the same parallelism. The
-// lp-hj column is the fused engine (§15): the same partitions as LP
-// tasks on the hj work-stealing runtime instead of goroutines.
+// partition, synchronized by Chandy–Misra–Bryant null messages, each LP
+// a task on the hj work-stealing runtime (lp-hj, §15). The partition
+// count is swept over the worker counts, reporting the partition quality
+// (edge-cut fraction, load imbalance) and the null-message ratio — the
+// canonical CMB overhead metric — next to the runtime and the
+// shared-memory HJ engine at the same parallelism.
 func LPExp(cfg Config) (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("Extension: partitioned logical-process engine (CMB null messages; scale=%.3g, repeats=%d)",
 			cfg.Scale, cfg.repeats()),
-		Headers: []string{"circuit", "lps", "lp_min_s", "lphj_min_s", "hj_min_s", "lp/lphj", "lphj/hj",
+		Headers: []string{"circuit", "lps", "lphj_min_s", "hj_min_s", "lphj/hj",
 			"edge_cut_%", "imbalance", "event_msgs", "null_msgs", "null_ratio"},
 	}
-	// Measure an lp-family engine by hand to capture its stats.
-	bestOf := func(name string, k int, c *circuit.Circuit, stim *circuit.Stimulus) (*core.Result, error) {
-		e := factory(name, core.Options{Partitions: k})(k)
+	// Measure lp-hj by hand to capture its stats.
+	bestOf := func(k int, c *circuit.Circuit, stim *circuit.Stimulus) (*core.Result, error) {
+		e := factory("lp-hj", core.Options{Partitions: k})(k)
 		var best *core.Result
 		for i := 0; i < cfg.repeats(); i++ {
 			res, err := e.Run(c, stim)
@@ -495,20 +495,14 @@ func LPExp(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			best, err := bestOf("lp", k, c, stim)
-			if err != nil {
-				return nil, err
-			}
-			bestHJ, err := bestOf("lp-hj", k, c, stim)
+			best, err := bestOf(k, c, stim)
 			if err != nil {
 				return nil, err
 			}
 			s := best.LP
 			t.AddRow(pc.Name, fmt.Sprint(k),
-				FmtSeconds(best.Elapsed.Seconds()), FmtSeconds(bestHJ.Elapsed.Seconds()),
-				FmtSeconds(hjM.MinSeconds()),
-				fmt.Sprintf("%.2fx", best.Elapsed.Seconds()/bestHJ.Elapsed.Seconds()),
-				fmt.Sprintf("%.2fx", bestHJ.Elapsed.Seconds()/hjM.MinSeconds()),
+				FmtSeconds(best.Elapsed.Seconds()), FmtSeconds(hjM.MinSeconds()),
+				fmt.Sprintf("%.2fx", best.Elapsed.Seconds()/hjM.MinSeconds()),
 				fmt.Sprintf("%.1f", 100*s.EdgeCut), fmt.Sprintf("%.2f", s.Imbalance),
 				fmt.Sprint(s.EventMsgs), fmt.Sprint(s.NullMsgs),
 				fmt.Sprintf("%.3f", s.NullRatio()))

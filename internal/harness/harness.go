@@ -105,7 +105,7 @@ func Measure(spec Spec) (*Measurement, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	// pprof labels scope any CPU/goroutine profile taken during the sweep:
-	// `go tool pprof -tagfocus engine=lp` isolates one engine's samples.
+	// `go tool pprof -tagfocus engine=lp-hj` isolates one engine's samples.
 	var runErr error
 	obs.Labeled(context.Background(), m.Engine, spec.Label, func(ctx context.Context) {
 		for i := 0; i < repeats; i++ {

@@ -26,7 +26,7 @@ type LoadConfig struct {
 	// JobsPer is how many jobs each client must complete (<=0 means 4).
 	JobsPer int
 	// Engines are assigned round-robin across submissions (empty means
-	// seq, hj, lp — one engine per paper family).
+	// seq, hj, lp-hj — one engine per paper family).
 	Engines []string
 	// Circuit and Waves shape each job (defaults koggestone-16, 4).
 	Circuit string
@@ -45,7 +45,7 @@ func (c *LoadConfig) fill() {
 		c.JobsPer = 4
 	}
 	if len(c.Engines) == 0 {
-		c.Engines = []string{"seq", "hj", "lp", "lp-hj"}
+		c.Engines = []string{"seq", "hj", "lp-hj"}
 	}
 	if c.Circuit == "" {
 		c.Circuit = "koggestone-16"

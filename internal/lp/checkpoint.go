@@ -6,11 +6,11 @@ import (
 )
 
 // Kill-and-restart fault model. An interceptor's CrashPoint kills the LP
-// at the top of its main loop: the LP's entire private state is
+// at the top of its slice loop: the LP's entire private state is
 // checkpointed, deliberately scrambled (simulating the loss of the
 // crashed process image), and then restored from the checkpoint, after
-// which the loop continues as if nothing happened. The inbox channel is
-// NOT part of the checkpoint — it models the network, and messages in
+// which the loop continues as if nothing happened. The mailbox is NOT
+// part of the checkpoint — it models the network, and messages in
 // flight survive a process crash. Messages the LP sent before the crash
 // point have already left (conservative LPs do no speculative output), so
 // restarting from a loop-top checkpoint never re-sends or loses a

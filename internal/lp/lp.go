@@ -2,10 +2,24 @@
 // discrete event simulation, implementing the Chandy–Misra–Bryant (CMB)
 // null-message protocol over the partitions produced by internal/partition.
 //
-// Each partition becomes one logical process (LP): a goroutine owning the
-// runtime state of its nodes, with its own event storage and workset.
-// Nothing mutable is shared between LPs — every cross-partition event
-// travels as a timestamped message through a bounded inbox channel.
+// Each partition becomes one logical process (LP) owning the runtime
+// state of its nodes, with its own event storage and workset. Nothing
+// mutable is shared between LPs — every cross-partition event travels as
+// a timestamped message. LPs are hj indexed tasks on a caller-owned
+// work-stealing runtime, so K logical processes multiplex onto W workers
+// and K may exceed W by orders of magnitude (see run.go):
+//
+//   - Lock-free MPSC mailboxes (mailbox.go): a sender pushes its batch
+//     and returns; nobody ever blocks on a peer.
+//   - Scheduled-flag dedup: pushing mail spawns a slice task for the
+//     destination LP only if none is pending or running, so at most one
+//     slice per LP runs at any moment and all owner-only state (node
+//     arrays, worksets, lbOut, trace ring shards, interceptors,
+//     checkpoints) has a single logical writer.
+//   - Run-to-completion slices: a slice drains the mailbox, processes
+//     every locally safe event (widening the safe horizon with the owned
+//     sub-DAG's output bounds), flushes its batches and null promises,
+//     and yields.
 //
 // # Protocol
 //
@@ -17,8 +31,8 @@
 // event message to the destination LP.
 //
 // Because partitions of a DAG can form cycles in the quotient graph, an
-// LP that runs out of ready work cannot simply block: two LPs waiting on
-// each other would deadlock. Before blocking, an LP therefore sends a
+// LP that runs out of ready work cannot simply wait: two LPs waiting on
+// each other would deadlock. Before yielding, an LP therefore sends a
 // null message on every outbound channel, promising that no event will
 // ever arrive on that channel with a timestamp below the promised value,
 // and the receiver advances the channel's port clocks to the promise.
@@ -37,32 +51,33 @@
 // adds the positive per-edge lookahead delay + WireDelay from the
 // partition plan, so promises exchanged around a channel cycle strictly
 // increase and the simulation always progresses (the CMB guarantee).
-// Null messages are sent only when an LP is about to block and only when
-// they improve on the channel's previous promise, which keeps the
+// Null messages are sent only at the end of a slice and only when they
+// improve on the channel's previous promise, which keeps the
 // null-message ratio bounded.
 //
 // Termination reuses the engines' NULL(∞) convention: a drained node
 // propagates infinity to its fanout (as a per-edge message across cuts),
-// and an LP exits once every owned node has terminated. Bounded inboxes
-// provide backpressure; a sender whose destination inbox is full drains
-// its own inbox while waiting, so message cycles cannot deadlock either.
+// and an LP is done once every owned node has terminated. Global
+// starvation (e.g. suppressed null messages) cannot hang a run: every LP
+// yields with an empty mailbox, the runtime quiesces, and Run reports a
+// *DeadlockError naming the first unterminated node.
 //
 // # Supervision
 //
-// A Run may carry a context (Config.Ctx): when it is canceled every LP
-// unwinds at its next blocking point or loop iteration, no goroutine is
-// leaked, and Run returns the context's cause. A Probe (Config.Probe)
-// exposes a monotonic progress counter and a per-LP diagnostic snapshot
-// (state, minimum local clock, inbox depth, live nodes) for external
-// stall watchdogs. A panic inside an LP is contained: the LP floods
-// NULL(∞) so its peers terminate, and Run returns a *PanicError naming
-// the LP with the recovered value and stack.
+// A Run may carry a context (Config.Ctx): the caller cancels the runtime
+// when it fires, every slice unwinds at its next loop top, and Run
+// returns the context's cause. A Probe (Config.Probe) exposes a
+// monotonic progress counter and a per-LP diagnostic snapshot (state,
+// minimum local clock, mailbox depth, live nodes) for external stall
+// watchdogs. A panic inside a slice is contained by the runtime, and Run
+// returns a *PanicError naming the LP with the recovered value and
+// stack.
 //
 // # Fault injection
 //
-// Config.NewInterceptor installs a per-LP Interceptor at the inbox
-// boundary: every cross-partition message passes through it on the
-// sender's goroutine, and the interceptor decides what is actually
+// Config.NewInterceptor installs a per-LP Interceptor at the mailbox
+// boundary: every cross-partition message passes through it inside the
+// sender's slice, and the interceptor decides what is actually
 // delivered (possibly held, reordered across ports, or — for null
 // messages only — duplicated). Interceptors power the deterministic
 // chaos engine in internal/chaos; see the Interceptor contract for the
@@ -71,11 +86,8 @@ package lp
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime/debug"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"hjdes/internal/circuit"
@@ -106,11 +118,9 @@ type Config struct {
 	// arriving below its port clock (a broken lookahead promise) panics,
 	// and Run reports the panic as an error.
 	Paranoid bool
-	// InboxCap bounds each LP's inbox; 0 means DefaultInboxCap.
-	InboxCap int
-	// Ctx, when non-nil, bounds the run: on cancellation every LP unwinds
-	// promptly (at a blocking send/receive or the loop top) and Run
-	// returns context.Cause(Ctx). A nil Ctx means no external bound.
+	// Ctx, when non-nil, bounds the run: once it is canceled every slice
+	// unwinds at its next loop top and Run returns context.Cause(Ctx). A
+	// nil Ctx means no external bound.
 	Ctx context.Context
 	// NewInterceptor, when non-nil, is called once per LP before the run
 	// starts; the returned Interceptor (nil to leave that LP untouched)
@@ -137,30 +147,19 @@ type Config struct {
 	// CaptureFinal copies every node's settled per-port values into
 	// Result.FinalVals after a clean termination, for checkpointing.
 	CaptureFinal bool
-	// NoAffinity disables home-worker routing in RunHJ (hj mode only):
-	// LP slices are pushed to the spawning worker's own deque instead of
-	// the destination LP's home mailbox. Ignored by Run.
+	// NoAffinity disables home-worker routing: LP slices are pushed to
+	// the spawning worker's own deque instead of the destination LP's
+	// home mailbox.
 	NoAffinity bool
 }
 
-// DefaultInboxCap is the default per-LP inbox bound (in batches): small
-// enough for backpressure, large enough that senders rarely stall.
-const DefaultInboxCap = 1024
-
 // batchCap is the coalescing limit of one cross-partition batch: an LP
-// buffers outgoing messages per destination and ships them as a single
-// channel send when the buffer fills or the LP reaches a blocking point,
-// amortizing channel synchronization over up to batchCap messages.
-// hjBatchCap is the hj-mode limit: run-to-completion slices emit long
-// bursts without ever blocking, so a larger batch amortizes the mailbox
-// CAS, the scheduled-flag check, and — most of all — the task enqueue
-// and worker wakeup over 4× the messages. Goroutine mode keeps the
-// smaller cap: its sends are also the backpressure points, and a large
-// cap there just delays the co-routining between producer and consumer.
-const (
-	batchCap   = 64
-	hjBatchCap = 256
-)
+// buffers outgoing messages per destination and pushes them as one
+// mailbox node when the buffer fills or the slice ends. Run-to-completion
+// slices emit long bursts without ever blocking, so a large batch
+// amortizes the mailbox CAS, the scheduled-flag check and — most of all —
+// the task enqueue and worker wakeup over many messages.
+const batchCap = 256
 
 // Hot-path arenas, shared by every Run in the process (sync.Pool), so
 // steady-state simulation recycles its buffers across runs instead of
@@ -171,20 +170,12 @@ var (
 	wsArena  queue.Arena[int32] // per-LP workset rings
 )
 
-// ErrCanceled reports an LP that unwound because Config.Ctx was canceled.
-// Run folds it into the context's cause; it only escapes through
-// PanicError-free canceled runs.
-var ErrCanceled = errors.New("lp: run canceled")
-
-// DeadlockError reports a run that ended with unterminated nodes. The
-// goroutine transport can only reach this state through a logic bug —
-// a starved LP blocks on its inbox and the stall watchdog fires first —
-// but in hj mode global starvation (e.g. suppressed null messages)
-// quiesces the runtime instead: every LP yields with an empty mailbox,
-// no slice is scheduled, and the finish scope completes. Collection
-// then detects the deadlock immediately and names the first
-// unterminated node, so the engine can report a structured stall with
-// diagnostics instead of hanging until a watchdog.
+// DeadlockError reports a run that ended with unterminated nodes. Global
+// starvation (e.g. suppressed null messages) quiesces the runtime: every
+// LP yields with an empty mailbox, no slice is scheduled, and the finish
+// scope completes. Collection then detects the deadlock immediately and
+// names the first unterminated node, so the engine can report a
+// structured stall with diagnostics instead of hanging until a watchdog.
 type DeadlockError struct{ Node int32 }
 
 func (e *DeadlockError) Error() string {
@@ -192,8 +183,8 @@ func (e *DeadlockError) Error() string {
 }
 
 // PanicError is the structured failure of one logical process: which LP
-// panicked, the recovered value, and the stack of the panicking
-// goroutine. The peers are unblocked (NULL(∞) flood) and exit cleanly.
+// panicked, the recovered value, and the stack of the panicking slice.
+// The runtime's panic containment cancels the remaining slices.
 type PanicError struct {
 	LP    int
 	Value any
@@ -202,9 +193,8 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("lp %d: panic: %v", e.LP, e.Value) }
 
-// lpCanceled is the unwind sentinel panicked by an LP that observes
-// cancellation deep inside a blocking send; main's recover turns it into
-// ErrCanceled.
+// lpCanceled is the unwind sentinel panicked by a slice that observes
+// cancellation at its loop top; the slice's recover stops it quietly.
 type lpCanceled struct{}
 
 // Stats are the run's message-level counters. The null-message ratio is
@@ -293,10 +283,10 @@ type Delivery struct {
 	M  Msg
 }
 
-// Interceptor sits at one LP's outgoing inbox boundary. All methods run
-// on that LP's goroutine, so an implementation needs no locking for its
-// own state. Returned deliveries are transported in order through the
-// raw channel layer without re-interception.
+// Interceptor sits at one LP's outgoing mailbox boundary. All methods run
+// inside that LP's slices, which never overlap, so an implementation
+// needs no locking for its own state. Returned deliveries are transported
+// in order through the raw batching layer without re-interception.
 //
 // Implementations MUST preserve the protocol's safety invariants:
 //
@@ -315,12 +305,12 @@ type Interceptor interface {
 	// OnSend intercepts one outgoing message and returns what to actually
 	// deliver now (possibly nothing, possibly previously held messages).
 	OnSend(src, to int32, m Msg) []Delivery
-	// OnBlock is called when the LP is about to block for input (and once
-	// at LP exit); it must release every held message.
+	// OnBlock is called at the end of every slice, before the LP promises
+	// its output bounds and yields; it must release every held message.
 	OnBlock(src int32) []Delivery
-	// CrashPoint is polled at the top of the LP's main loop; returning
-	// true kills the LP at that point and restarts it from a checkpoint
-	// (see checkpoint.go).
+	// CrashPoint is polled at the top of every slice-loop iteration;
+	// returning true kills the LP at that point and restarts it from a
+	// checkpoint (see checkpoint.go).
 	CrashPoint(src int32) bool
 }
 
@@ -399,8 +389,7 @@ type inEdge struct {
 // LP diagnostic states published for Probe.Snapshot.
 const (
 	stateRunning int32 = iota
-	stateBlockedRecv
-	stateBlockedSend
+	stateWaiting       // yielded, live nodes left, waiting for mail
 	stateDone
 )
 
@@ -408,16 +397,15 @@ const (
 type proc struct {
 	id    int32
 	r     *run
-	nodes []int32 // owned node IDs
-	topo  []int32 // owned node IDs in intra-partition topological order
-	inbox chan []Msg
+	nodes []int32     // owned node IDs
+	topo  []int32     // owned node IDs in intra-partition topological order
 	ic    Interceptor // nil when no fault injection
 
-	// outBuf[to] is the pending outgoing batch for LP to, shipped as one
-	// channel send by flushTo. Invariant: every outBuf entry is empty at
-	// the top of the main loop (all paths there pass a flushAll), which is
-	// what makes loop-top checkpoints crash-consistent — a counted message
-	// has always actually left.
+	// outBuf[to] is the pending outgoing batch for LP to, pushed as one
+	// mailbox node by flushTo. Invariant: every outBuf entry is empty at
+	// the top of the slice loop (all paths there pass a flushAll), which
+	// is what makes loop-top checkpoints crash-consistent — a counted
+	// message has always actually left.
 	outBuf [][]Msg
 
 	// Outbound channel i goes to LP outbound[i]; outSrcs[i] lists the
@@ -444,15 +432,16 @@ type proc struct {
 	piggyNulls int64
 	batches    int64
 	restarts   int64
-	err        error
 
 	trace     *obs.Ring      // flight-recorder shard; nil when tracing is off
 	batchHist *obs.Histogram // live batch-size histogram; nil without a registry
 
-	// hj-mode transport (RunHJ): the lock-free mailbox replaces inbox,
-	// sched is the at-most-one-pending-task dedup flag, and hctx is the
-	// current slice's runtime context (owner-only, set for the duration
-	// of a slice). started latches the one-time input flood.
+	// Transport: mb is the lock-free inbound mailbox, sched the
+	// at-most-one-pending-slice dedup flag, and hctx the runtime context
+	// of the current slice (owner-only: set at every slice entry and read
+	// only inside a slice — never cleared, because a slice's exit runs
+	// after its flag release, when a successor slice may already own
+	// hctx). started latches the one-time input flood.
 	mb          mailbox
 	mbDepth     atomic.Int32
 	mailFree    *mail // owner-only free list of drained mail nodes
@@ -462,19 +451,20 @@ type proc struct {
 	started     bool
 	procEvents  int64 // events processed over the whole run (slice metrics)
 	lastHorizon int64
-	sliceHist   *obs.Histogram // hj mode: events per slice
-	windowHist  *obs.Histogram // hj mode: safe-horizon advance per slice
+	sliceHist   *obs.Histogram // events per slice
+	windowHist  *obs.Histogram // safe-horizon advance per slice
 
 	// Diagnostics, written by this LP and read by Probe goroutines.
 	progress   atomic.Uint64 // messages applied + node activations
-	state      atomic.Int32  // stateRunning / stateBlockedRecv / ...
-	blockedOn  atomic.Int32  // destination LP when stateBlockedSend
-	minClock   atomic.Int64  // min local clock over live owned nodes, at last block
+	state      atomic.Int32  // stateRunning / stateWaiting / stateDone
+	minClock   atomic.Int64  // min local clock over live owned nodes, at last yield
 	remainingA atomic.Int32
 }
 
 // run is the shared context of one simulation: immutable wiring plus the
 // per-node state array, each element of which is owned by exactly one LP.
+// home maps each LP to its home worker (nil without affinity); body is
+// the one shared IndexedTask value so slice respawns allocate no closure.
 type run struct {
 	cfg   Config
 	done  <-chan struct{} // nil when cfg.Ctx is nil; a nil channel never fires
@@ -483,14 +473,8 @@ type run struct {
 	procs []*proc
 	inWS  []bool  // workset membership, touched only by the owner LP
 	lbOut []int64 // per-node output bound, touched only by the owner LP
-
-	// hj mode (RunHJ): LPs run as indexed tasks on rt instead of
-	// goroutines. home maps each LP to its home worker (nil without
-	// affinity); body is the one shared IndexedTask value so respawns
-	// allocate no closure.
-	hj   bool
-	home []int32
-	body hj.IndexedTask
+	home  []int32
+	body  hj.IndexedTask
 }
 
 // Probe lets an external watchdog observe a Run in flight. Attach it via
@@ -514,9 +498,9 @@ func (pr *Probe) Progress() uint64 {
 	return sum
 }
 
-// Snapshot renders one line per LP: state (running / blocked-recv /
-// blocked-send→peer / done), the minimum local clock over its live nodes
-// as of its last block, inbox depth, live node count and progress.
+// Snapshot renders one line per LP: state (running / waiting / done),
+// the minimum local clock over its live nodes as of its last yield,
+// mailbox depth, live node count and progress.
 func (pr *Probe) Snapshot() string {
 	r := pr.r.Load()
 	if r == nil {
@@ -526,10 +510,8 @@ func (pr *Probe) Snapshot() string {
 	for _, p := range r.procs {
 		state := "running"
 		switch p.state.Load() {
-		case stateBlockedRecv:
-			state = "blocked-recv"
-		case stateBlockedSend:
-			state = fmt.Sprintf("blocked-send->lp%d", p.blockedOn.Load())
+		case stateWaiting:
+			state = "waiting"
 		case stateDone:
 			state = "done"
 		}
@@ -537,41 +519,15 @@ func (pr *Probe) Snapshot() string {
 		if c := p.minClock.Load(); c < TimeInfinity {
 			clock = fmt.Sprintf("%d", c)
 		}
-		if r.hj {
-			fmt.Fprintf(&b, "lp %d: state=%s clock=%s mailbox=%d live-nodes=%d progress=%d\n",
-				p.id, state, clock, p.mbDepth.Load(), p.remainingA.Load(), p.progress.Load())
-			continue
-		}
-		fmt.Fprintf(&b, "lp %d: state=%s clock=%s inbox=%d/%d live-nodes=%d progress=%d\n",
-			p.id, state, clock, len(p.inbox), cap(p.inbox), p.remainingA.Load(), p.progress.Load())
+		fmt.Fprintf(&b, "lp %d: state=%s clock=%s mailbox=%d live-nodes=%d progress=%d\n",
+			p.id, state, clock, p.mbDepth.Load(), p.remainingA.Load(), p.progress.Load())
 	}
 	return b.String()
 }
 
-// Run simulates the circuit under the stimulus with one logical process
-// per partition of the plan.
-func Run(c *circuit.Circuit, stim *circuit.Stimulus, plan *partition.Plan, cfg Config) (*Result, error) {
-	r, err := build(c, stim, plan, cfg, false)
-	if err != nil {
-		return nil, err
-	}
-	var wg sync.WaitGroup
-	for _, p := range r.procs {
-		wg.Add(1)
-		go func(p *proc) {
-			defer wg.Done()
-			p.main()
-		}(p)
-	}
-	wg.Wait()
-	return r.collect(c, plan)
-}
-
 // build constructs the shared run state: one proc per partition with
-// resolved ports, fanouts, channels and diagnostics. It is the common
-// front half of Run (goroutine transport) and RunHJ (hj tasks); hjMode
-// selects lock-free mailboxes instead of bounded inbox channels.
-func build(c *circuit.Circuit, stim *circuit.Stimulus, plan *partition.Plan, cfg Config, hjMode bool) (*run, error) {
+// resolved ports, fanouts, channels and diagnostics.
+func build(c *circuit.Circuit, stim *circuit.Stimulus, plan *partition.Plan, cfg Config) (*run, error) {
 	if err := stim.Validate(c); err != nil {
 		return nil, err
 	}
@@ -581,7 +537,6 @@ func build(c *circuit.Circuit, stim *circuit.Stimulus, plan *partition.Plan, cfg
 	}
 	r := &run{
 		cfg:   cfg,
-		hj:    hjMode,
 		nodes: make([]node, len(c.Nodes)),
 		owner: make([]int32, len(c.Nodes)),
 		inWS:  make([]bool, len(c.Nodes)),
@@ -595,10 +550,6 @@ func build(c *circuit.Circuit, stim *circuit.Stimulus, plan *partition.Plan, cfg
 			return nil, fmt.Errorf("lp: plan assigns node %d to partition %d of %d", i, a, plan.K)
 		}
 		r.owner[i] = int32(plan.Assign[i])
-	}
-	inboxCap := cfg.InboxCap
-	if inboxCap <= 0 {
-		inboxCap = DefaultInboxCap
 	}
 	r.procs = make([]*proc, plan.K)
 	for i := range r.procs {
@@ -614,20 +565,12 @@ func build(c *circuit.Circuit, stim *circuit.Stimulus, plan *partition.Plan, cfg
 			evScratch:     make([]event, 0, 32),
 			evPortScratch: make([]int32, 0, 32),
 		}
-		if !hjMode {
-			// hj mode replaces the bounded channel with a lock-free
-			// mailbox (mailbox.go); allocating K unused channels here
-			// would dominate allocs/op at high partition counts.
-			r.procs[i].inbox = make(chan []Msg, inboxCap)
-		}
 		r.procs[i].ws.SetArena(&wsArena)
 		r.procs[i].trace = cfg.Trace.Ring(i) // nil recorder → nil ring
 		if cfg.Metrics != nil {
 			r.procs[i].batchHist = cfg.Metrics.Histogram("lp.batch_size")
-			if hjMode {
-				r.procs[i].sliceHist = cfg.Metrics.Histogram("lp.slice_events")
-				r.procs[i].windowHist = cfg.Metrics.Histogram("lp.safe_window")
-			}
+			r.procs[i].sliceHist = cfg.Metrics.Histogram("lp.slice_events")
+			r.procs[i].windowHist = cfg.Metrics.Histogram("lp.safe_window")
 		}
 		if cfg.NewInterceptor != nil {
 			r.procs[i].ic = cfg.NewInterceptor(i)
@@ -726,18 +669,15 @@ func (r *run) collect(c *circuit.Circuit, plan *partition.Plan) (*Result, error)
 			Imbalance:  plan.LoadBalance(),
 		},
 	}
-	var firstErr error
 	for _, p := range r.procs {
-		if p.err != nil && firstErr == nil && !errors.Is(p.err, ErrCanceled) {
-			firstErr = p.err
-		}
 		res.Stats.EventMsgs += p.eventMsgs
 		res.Stats.NullMsgs += p.nullMsgs
 		res.Stats.PiggyNulls += p.piggyNulls
 		res.Stats.Batches += p.batches
 		res.Stats.Restarts += p.restarts
 	}
-	// Every LP has joined: recycle the arena-backed rings for later runs.
+	// No slice can run anymore: recycle the arena-backed rings for later
+	// runs.
 	for i := range r.nodes {
 		for pi := range r.nodes[i].ports {
 			r.nodes[i].ports[pi].q.Release()
@@ -745,9 +685,6 @@ func (r *run) collect(c *circuit.Circuit, plan *partition.Plan) (*Result, error)
 	}
 	for _, p := range r.procs {
 		p.ws.Release()
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
 		return nil, context.Cause(cfg.Ctx)
@@ -773,120 +710,13 @@ func (r *run) collect(c *circuit.Circuit, plan *partition.Plan) (*Result, error)
 	return res, nil
 }
 
-// main is the LP event loop: flood owned inputs, then alternate between
-// local processing and message exchange until every owned node has
-// terminated.
-func (p *proc) main() {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if _, ok := rec.(lpCanceled); ok {
-				p.err = ErrCanceled
-				p.state.Store(stateDone)
-				return
-			}
-			p.err = &PanicError{LP: int(p.id), Value: rec, Stack: debug.Stack()}
-			p.state.Store(stateDone)
-			p.abort()
-		}
-	}()
-	p.floodInputs()
-	for {
-		p.checkCanceled()
-		if p.ic != nil && p.ic.CrashPoint(p.id) {
-			p.restart()
-		}
-		p.drainInbox()
-		p.processLocal()
-		if p.remaining == 0 {
-			p.flushHeld()
-			p.flushAll()
-			p.state.Store(stateDone)
-			return
-		}
-		// No ready work and not done: some cross-fed port is still open
-		// (intra-partition dependencies always resolve within the DAG).
-		// Release anything an interceptor held back, promise our output
-		// bounds downstream (piggybacked on the buffered events where
-		// possible), ship every pending batch, then block for input.
-		p.flushHeld()
-		p.sendNulls()
-		p.flushAll()
-		// A send that stalled on a full peer inbox drains our own inbox
-		// meanwhile, which can ready local work; block only if the
-		// workset is still empty, or the peers may all be waiting on the
-		// very events that work would produce.
-		if !p.ws.Empty() {
-			continue
-		}
-		p.blockRecv()
-	}
-}
-
-// checkCanceled unwinds the LP (via the lpCanceled sentinel) if the run's
-// context has been canceled. A nil done channel never fires.
+// checkCanceled unwinds the slice (via the lpCanceled sentinel) if the
+// run's context has been canceled. A nil done channel never fires.
 func (p *proc) checkCanceled() {
 	select {
 	case <-p.r.done:
 		panic(lpCanceled{})
 	default:
-	}
-}
-
-// blockRecv waits for one inbox batch, publishing blocked-recv state for
-// diagnostics and honoring cancellation.
-func (p *proc) blockRecv() {
-	p.trace.Record(obs.EvBlock, int64(len(p.inbox)), int64(p.remaining))
-	p.noteBlocked(stateBlockedRecv, -1)
-	defer p.state.Store(stateRunning)
-	select {
-	case batch := <-p.inbox:
-		p.applyBatch(batch)
-	case <-p.r.done:
-		panic(lpCanceled{})
-	}
-}
-
-// noteBlocked publishes this LP's diagnostic snapshot: why it is blocked
-// and the minimum local clock over its live nodes.
-func (p *proc) noteBlocked(state, dst int32) {
-	clock := TimeInfinity
-	for _, id := range p.nodes {
-		n := &p.r.nodes[id]
-		if n.nullSent {
-			continue
-		}
-		if c := n.localClock(); c < clock {
-			clock = c
-		}
-	}
-	p.minClock.Store(clock)
-	p.blockedOn.Store(dst)
-	p.remainingA.Store(int32(p.remaining))
-	p.state.Store(state)
-}
-
-// abort unblocks peers after a local panic by flooding NULL(∞) on every
-// owned cut edge, best-effort: a full peer inbox is retried a bounded
-// number of times while draining our own.
-func (p *proc) abort() {
-	for _, id := range p.nodes {
-		for _, d := range p.r.nodes[id].fanout {
-			if !d.cross {
-				continue
-			}
-			b := msgArena.Get(1)
-			b = append(b, Msg{Kind: MsgNullEdge, Node: d.node, Port: d.port})
-			box := p.r.procs[d.lp].inbox
-			for attempt := 0; attempt < 1024; attempt++ {
-				select {
-				case box <- b:
-					attempt = 1024
-				case in := <-p.inbox:
-					msgArena.Put(in) // discard: local state is already poisoned
-				default:
-				}
-			}
-		}
 	}
 }
 
@@ -955,8 +785,7 @@ func (p *proc) send(to int32, m Msg) {
 }
 
 // flushHeld releases everything the interceptor is still holding; called
-// before the LP blocks and once at LP exit so held messages cannot wedge
-// the protocol.
+// at the end of every slice so held messages cannot wedge the protocol.
 func (p *proc) flushHeld() {
 	if p.ic == nil {
 		return
@@ -970,29 +799,21 @@ func (p *proc) flushHeld() {
 // when it reaches batchCap. Messages to one destination stay in append
 // order, so per-port FIFO is preserved through the batching layer.
 func (p *proc) rawSend(to int32, m Msg) {
-	limit := batchCap
-	if p.r.hj {
-		limit = hjBatchCap
-	}
 	buf := p.outBuf[to]
 	if buf == nil {
-		buf = msgArena.Get(limit)
+		buf = msgArena.Get(batchCap)
 	}
 	buf = append(buf, m)
 	p.outBuf[to] = buf
-	if len(buf) >= limit {
+	if len(buf) >= batchCap {
 		p.flushTo(to)
 	}
 }
 
-// flushTo ships the pending batch for LP to. Goroutine mode performs one
-// channel send; if the inbox is full the sender drains its own inbox
-// while waiting, so cyclic backpressure cannot deadlock: some LP can
-// always make progress. Cancellation unwinds the LP from here via the
-// lpCanceled sentinel. In hj mode the batch is pushed onto the
+// flushTo ships the pending batch for LP to: the batch is pushed onto the
 // destination's lock-free mailbox and — when no slice for that LP is
-// pending or running (the scheduled-flag dedup) — a task for it is
-// spawned; the sender never blocks.
+// pending or running (the scheduled-flag dedup) — a slice task for it is
+// spawned. The sender never blocks.
 func (p *proc) flushTo(to int32) {
 	buf := p.outBuf[to]
 	if len(buf) == 0 {
@@ -1004,32 +825,11 @@ func (p *proc) flushTo(to int32) {
 	if p.batchHist != nil {
 		p.batchHist.Observe(int(p.id), float64(len(buf)))
 	}
-	if p.r.hj {
-		q := p.r.procs[to]
-		q.mb.Push(p.takeMail(buf))
-		q.mbDepth.Add(1)
-		if q.sched.CompareAndSwap(false, true) {
-			p.r.enqueue(p.hctx, to)
-		}
-		return
-	}
-	box := p.r.procs[to].inbox
-	select {
-	case box <- buf:
-		return
-	default:
-	}
-	p.noteBlocked(stateBlockedSend, to)
-	defer p.state.Store(stateRunning)
-	for {
-		select {
-		case box <- buf:
-			return
-		case in := <-p.inbox:
-			p.applyBatch(in)
-		case <-p.r.done:
-			panic(lpCanceled{})
-		}
+	q := p.r.procs[to]
+	q.mb.Push(p.takeMail(buf))
+	q.mbDepth.Add(1)
+	if q.sched.CompareAndSwap(false, true) {
+		p.r.enqueue(p.hctx, to)
 	}
 }
 
@@ -1041,7 +841,7 @@ func (p *proc) flushAll() {
 }
 
 // apply folds one received message into local node state and wakes the
-// affected nodes; it never processes events (the main loop does).
+// affected nodes; it never processes events (the slice loop does).
 func (p *proc) apply(m Msg) {
 	p.progress.Add(1)
 	switch m.Kind {
@@ -1081,30 +881,15 @@ func (p *proc) applyBatch(batch []Msg) {
 	msgArena.Put(batch)
 }
 
-// drainInbox applies every currently queued batch without blocking.
-func (p *proc) drainInbox() {
-	for {
-		select {
-		case batch := <-p.inbox:
-			p.applyBatch(batch)
-		default:
-			return
-		}
-	}
-}
-
-// processLocal runs the workset to exhaustion: Algorithm 1 restricted to
-// the LP's own nodes.
-func (p *proc) processLocal() { p.drainWS(false) }
-
-// drainWS runs the workset to exhaustion. With widened set, each port
-// fed by a locally owned node uses max(port clock, lbOut(feeder)) as its
-// arrival bound instead of the raw clock — lbOut is a valid lower bound
-// on everything the feeder may still emit, so events below it are just
-// as safe to process, and a run-to-completion slice can keep going
-// where the raw clocks alone would stall on a local round trip. The
-// caller must have called relax() first; bounds only grow as events
-// process, so the snapshot stays conservative throughout the drain.
+// drainWS runs the workset to exhaustion: Algorithm 1 restricted to the
+// LP's own nodes. With widened set, each port fed by a locally owned
+// node uses max(port clock, lbOut(feeder)) as its arrival bound instead
+// of the raw clock — lbOut is a valid lower bound on everything the
+// feeder may still emit, so events below it are just as safe to process,
+// and a run-to-completion slice can keep going where the raw clocks
+// alone would stall on a local round trip. The caller must have called
+// relax() first; bounds only grow as events process, so the snapshot
+// stays conservative throughout the drain.
 func (p *proc) drainWS(widened bool) {
 	evs, evPorts := p.evScratch, p.evPortScratch
 	defer func() { p.evScratch, p.evPortScratch = evs, evPorts }()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hjdes/internal/circuit"
+	"hjdes/internal/hj"
 	"hjdes/internal/partition"
 )
 
@@ -21,6 +22,15 @@ func randomWaves(c *circuit.Circuit, n int, seed int64) []map[string]circuit.Val
 	return waves
 }
 
+// runOn simulates on a private 4-worker runtime, shut down afterwards:
+// more workers than this host's cores, so LP slices of one run interleave
+// on preempted workers as well as in parallel.
+func runOn(c *circuit.Circuit, stim *circuit.Stimulus, plan *partition.Plan, cfg Config) (*Result, error) {
+	rt := hj.NewRuntime(hj.Config{Workers: 4})
+	defer rt.Shutdown()
+	return Run(c, stim, plan, rt, cfg)
+}
+
 // runLP partitions c into k LPs and simulates the waves with the
 // causality assertion armed.
 func runLP(t *testing.T, c *circuit.Circuit, k int, waves []map[string]circuit.Value) *Result {
@@ -30,7 +40,7 @@ func runLP(t *testing.T, c *circuit.Circuit, k int, waves []map[string]circuit.V
 		t.Fatalf("%s k=%d: %v", c.Name, k, err)
 	}
 	stim := circuit.VectorWaves(c, waves, c.SettleTime()+10)
-	res, err := Run(c, stim, plan, Config{Record: true, Paranoid: true})
+	res, err := runOn(c, stim, plan, Config{Record: true, Paranoid: true})
 	if err != nil {
 		t.Fatalf("%s k=%d: %v", c.Name, k, err)
 	}
@@ -167,33 +177,13 @@ func TestEmptyStimulus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(c, circuit.NewStimulus(c), plan, Config{Record: true, Paranoid: true})
+		res, err := runOn(c, circuit.NewStimulus(c), plan, Config{Record: true, Paranoid: true})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 		if res.TotalEvents != 0 {
 			t.Fatalf("k=%d: %d events from empty stimulus", k, res.TotalEvents)
 		}
-	}
-}
-
-// TestTinyInbox forces constant backpressure: the run must still
-// complete and agree with an unconstrained run.
-func TestTinyInbox(t *testing.T) {
-	c := circuit.KoggeStone(16)
-	waves := randomWaves(c, 6, 41)
-	stim := circuit.VectorWaves(c, waves, c.SettleTime()+10)
-	plan, err := partition.Partition(c, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiny, err := Run(c, stim, plan, Config{Record: true, Paranoid: true, InboxCap: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := runLP(t, c, 6, waves)
-	if tiny.TotalEvents != ref.TotalEvents {
-		t.Fatalf("inbox=1 processed %d events, reference %d", tiny.TotalEvents, ref.TotalEvents)
 	}
 }
 
@@ -205,7 +195,7 @@ func TestMismatchedStimulusRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := &circuit.Stimulus{ByInput: make([][]circuit.Transition, 1)}
-	if _, err := Run(c, bad, plan, Config{}); err == nil {
+	if _, err := runOn(c, bad, plan, Config{}); err == nil {
 		t.Fatal("mismatched stimulus accepted")
 	}
 }
@@ -219,7 +209,7 @@ func TestMismatchedPlanRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := circuit.KoggeStone(16)
-	if _, err := Run(big, circuit.NewStimulus(big), plan, Config{}); err == nil {
+	if _, err := runOn(big, circuit.NewStimulus(big), plan, Config{}); err == nil {
 		t.Fatal("mismatched plan accepted")
 	}
 }
@@ -236,8 +226,8 @@ func TestDeepChainManyPartitions(t *testing.T) {
 		t.Fatal("no events processed")
 	}
 	if res.Stats.NullMsgs == 0 && res.Stats.CutEdges > 0 && res.Stats.EventMsgs > 0 {
-		// Nulls are only needed when an LP blocks with open inbound
-		// channels; a pipeline this deep should block at least once.
+		// Nulls are only needed when an LP yields with open inbound
+		// channels; a pipeline this deep should yield at least once.
 		t.Log("note: no null messages were needed")
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"sync/atomic"
 )
 
-// Lock-free MPSC mailbox for the hj-scheduled engine modes (lp's RunHJ
-// and core's tw-hj), generic over the payload one pushed node carries.
+// Lock-free MPSC mailbox for the hj-scheduled engines (lp's Run and
+// core's tw-hj), generic over the payload one pushed node carries.
 //
 // Each LP owns one mailbox; any peer LP (running on any hj worker) may
 // push a batch of messages into it concurrently, and only the owning

@@ -98,7 +98,7 @@ func TestMailboxConcurrentProducers(t *testing.T) {
 }
 
 // TestScheduledFlagDedupLinearizable stress-tests the actor protocol
-// that RunHJ builds on: 4×GOMAXPROCS producers push items and try to
+// that Run builds on: 4×GOMAXPROCS producers push items and try to
 // CAS the scheduled flag; whoever wins spawns a consumer slice that
 // drains with the clear-then-recheck yield sequence. The invariants
 // checked are exactly the engine's: never two concurrent slices for the

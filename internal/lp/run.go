@@ -11,57 +11,41 @@ import (
 	"hjdes/internal/partition"
 )
 
-// Fused hj-scheduled LP mode.
+// Slice scheduling.
 //
-// RunHJ runs the same Chandy–Misra–Bryant protocol as Run, but each LP
-// is an hj IndexedTask on a caller-owned work-stealing runtime instead
-// of a goroutine: K logical processes multiplex onto W workers, so high
-// partition counts stop oversubscribing the OS scheduler. Three pieces
-// replace the goroutine transport:
+// Each LP is an hj IndexedTask. The scheduled-flag protocol is the
+// classic actor one: pushing mail spawns a slice for the destination LP
+// only if its CompareAndSwap(false, true) on the LP's sched flag wins. A
+// slice holds the flag for its whole duration and only clears it after
+// its last mailbox drain, then re-checks the mailbox and re-claims the
+// flag to continue inline if mail raced in — so at most one slice per LP
+// runs at any moment, and the CAS chain on the flag gives a
+// happens-before edge between consecutive slices on different workers.
 //
-//   - Lock-free MPSC mailboxes (mailbox.go): a sender pushes its batch
-//     and returns; nobody ever blocks on a peer.
-//   - Scheduled-flag dedup: pushing mail spawns a task for the
-//     destination LP only if none is pending or running, via a
-//     CompareAndSwap(false, true) on the LP's sched flag. A slice holds
-//     the flag for its whole duration and only clears it after its last
-//     mailbox drain, then re-checks the mailbox and re-claims the flag
-//     to continue inline if mail raced in — the classic actor protocol,
-//     so at most one slice per LP runs at any moment and the CAS chain
-//     on the flag gives a happens-before edge between consecutive
-//     slices on different workers. All owner-only state (node arrays,
-//     worksets, lbOut, trace ring shards, interceptors, checkpoints)
-//     therefore still has a single logical writer.
-//   - Run-to-completion slices with safe-window widening: a slice
-//     drains the mailbox and processes every locally safe event before
-//     yielding. After the raw port clocks are exhausted it relaxes the
-//     owned sub-DAG (relax) and widens each locally-fed port's bound to
-//     max(clock, lbOut(feeder)) — a valid lower bound on everything the
-//     feeder can still emit — repeating until no event is below the
-//     widened horizon. Only then are output batches flushed and null
-//     promises sent, so one slice does the work that costs the
-//     goroutine engine several blocking round trips.
+// A slice drains the mailbox and processes every locally safe event
+// before yielding. After the raw port clocks are exhausted it relaxes
+// the owned sub-DAG (relax) and widens each locally-fed port's bound to
+// max(clock, lbOut(feeder)) — a valid lower bound on everything the
+// feeder can still emit — repeating until no event is below the widened
+// horizon. Only then are output batches flushed and null promises sent.
 //
-// Every contract of the goroutine engine is preserved: the Interceptor
-// boundary (slices are exclusive, so interceptor state stays
-// single-threaded; OnBlock runs at the end of every slice), loop-top
-// kill-and-restart checkpoints (every path to a slice-loop top has
-// flushed, so outBuf is empty exactly as restart requires), Probe
-// diagnostics (mailbox depth replaces inbox depth), NMR stats, and
-// cancellation via Config.Ctx. A panic inside a slice is re-thrown as a
-// *PanicError so the runtime's containment (hj.TaskPanic) carries the
-// failing LP to the engine layer.
+// The Interceptor boundary holds because slices are exclusive (OnBlock
+// runs at the end of every slice); loop-top kill-and-restart checkpoints
+// hold because every path to a slice-loop top has flushed, so outBuf is
+// empty exactly as restart requires. A panic inside a slice is re-thrown
+// as a *PanicError so the runtime's containment (hj.TaskPanic) carries
+// the failing LP to the engine layer.
 
-// RunHJ simulates the circuit with one hj-scheduled logical process per
+// Run simulates the circuit with one hj-scheduled logical process per
 // partition of the plan, multiplexed onto rt's workers. The runtime is
-// caller-owned: RunHJ never shuts it down, and a clean run leaves it
-// quiescent (pool-reusable). Config.InboxCap is ignored — mailboxes are
-// unbounded; the protocol's own null-message pacing bounds them.
-func RunHJ(c *circuit.Circuit, stim *circuit.Stimulus, plan *partition.Plan, rt *hj.Runtime, cfg Config) (*Result, error) {
+// caller-owned: Run never shuts it down, and a clean run leaves it
+// quiescent (pool-reusable). Mailboxes are unbounded; the protocol's own
+// null-message pacing bounds them.
+func Run(c *circuit.Circuit, stim *circuit.Stimulus, plan *partition.Plan, rt *hj.Runtime, cfg Config) (*Result, error) {
 	if rt == nil {
-		return nil, errors.New("lp: RunHJ requires a runtime")
+		return nil, errors.New("lp: Run requires a runtime")
 	}
-	r, err := build(c, stim, plan, cfg, true)
+	r, err := build(c, stim, plan, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +118,6 @@ func (r *run) enqueue(ctx *hj.Ctx, to int32) {
 func (p *proc) slice(ctx *hj.Ctx) {
 	p.hctx = ctx
 	defer func() {
-		p.hctx = nil
 		if rec := recover(); rec != nil {
 			p.state.Store(stateDone)
 			if _, ok := rec.(lpCanceled); ok {
@@ -157,9 +140,8 @@ func (p *proc) slice(ctx *hj.Ctx) {
 	for {
 		p.checkCanceled()
 		if p.ic != nil && p.ic.CrashPoint(p.id) {
-			// Crash-consistent by the same invariant as the goroutine
-			// loop: every path to this point has passed a flushAll, so
-			// nothing counted is still buffered.
+			// Crash-consistent: every path to this point has passed a
+			// flushAll, so nothing counted is still buffered.
 			p.restart()
 		}
 		ev0 := p.procEvents
@@ -284,11 +266,10 @@ func (p *proc) yieldNote(ev0 int64) {
 	}
 	p.trace.Record(obs.EvSlice, events, horizon)
 	p.minClock.Store(clock)
-	p.blockedOn.Store(-1)
 	p.remainingA.Store(int32(p.remaining))
 	if p.remaining == 0 {
 		p.state.Store(stateDone)
 	} else {
-		p.state.Store(stateBlockedRecv)
+		p.state.Store(stateWaiting)
 	}
 }

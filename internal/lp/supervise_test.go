@@ -11,15 +11,24 @@ import (
 	"hjdes/internal/partition"
 )
 
-// blackhole is an interceptor that swallows every inter-LP message and
-// never crashes: with k>1 the simulation can make no global progress, so
-// only cancellation ends the run. (Dropping events violates the normal
-// interceptor contract on purpose — that is the point of the test.)
-type blackhole struct{}
+// wedge forwards every message untouched, but LP 0's first crash-point
+// poll does not return until ctx is done: the run is genuinely in flight
+// — one slice stuck inside its loop, its peers waiting on its output —
+// when the cancellation lands.
+type wedge struct {
+	lp  int
+	ctx context.Context
+}
 
-func (blackhole) OnSend(src, to int32, m Msg) []Delivery { return nil }
-func (blackhole) OnBlock(src int32) []Delivery           { return nil }
-func (blackhole) CrashPoint(src int32) bool              { return false }
+func (w *wedge) OnSend(src, to int32, m Msg) []Delivery { return []Delivery{{To: to, M: m}} }
+func (w *wedge) OnBlock(src int32) []Delivery           { return nil }
+func (w *wedge) CrashPoint(src int32) bool {
+	if w.lp == 0 {
+		w.lp = -1
+		<-w.ctx.Done()
+	}
+	return false
+}
 
 func settleLP(t *testing.T, base int) {
 	t.Helper()
@@ -32,7 +41,7 @@ func settleLP(t *testing.T, base int) {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
 			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("LP goroutines leaked after cancel\n%s", buf)
+			t.Fatalf("worker goroutines leaked after cancel\n%s", buf)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -54,7 +63,7 @@ func TestRunPreCanceledContext(t *testing.T) {
 
 	base := runtime.NumGoroutine()
 	start := time.Now()
-	_, err = Run(c, stim, plan, Config{Ctx: ctx})
+	_, err = runOn(c, stim, plan, Config{Ctx: ctx})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("Run = %v, want the cancellation cause %v", err, sentinel)
 	}
@@ -64,10 +73,9 @@ func TestRunPreCanceledContext(t *testing.T) {
 	settleLP(t, base)
 }
 
-// TestRunMidFlightCancel: wedge the topology with a message-swallowing
-// interceptor, cancel from outside, and require a prompt return carrying
-// the cause plus zero leaked LP goroutines — even from deep blocking
-// receives.
+// TestRunMidFlightCancel: wedge one LP's slice mid-run, cancel from
+// outside, and require a prompt return carrying the cause plus zero
+// leaked worker goroutines.
 func TestRunMidFlightCancel(t *testing.T) {
 	c := circuit.KoggeStone(16)
 	plan, err := partition.Partition(c, 4)
@@ -82,13 +90,13 @@ func TestRunMidFlightCancel(t *testing.T) {
 	base := runtime.NumGoroutine()
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(c, stim, plan, Config{
+		_, err := runOn(c, stim, plan, Config{
 			Ctx:            ctx,
-			NewInterceptor: func(int) Interceptor { return blackhole{} },
+			NewInterceptor: func(lp int) Interceptor { return &wedge{lp: lp, ctx: ctx} },
 		})
 		done <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // let the LPs wedge in blocked receives
+	time.Sleep(50 * time.Millisecond) // let the peers run out of work behind LP 0
 	cancel(sentinel)
 
 	select {
@@ -117,9 +125,9 @@ func (ci *crashOnce) OnSend(src, to int32, m Msg) []Delivery {
 func (ci *crashOnce) OnBlock(src int32) []Delivery { return nil }
 func (ci *crashOnce) CrashPoint(src int32) bool {
 	ci.calls++
-	// Batched delivery leaves each LP only a handful of loop-top crash
-	// points per run, so kill eagerly: even LPs from their first loop
-	// top (the post-flood checkpoint), odd LPs from their second (a
+	// Run-to-completion slices leave each LP only a handful of loop-top
+	// crash points per run, so kill eagerly: even LPs from their first
+	// loop top (the post-flood checkpoint), odd LPs from their second (a
 	// mid-simulation checkpoint with applied-but-unprocessed events).
 	if ci.kills < ci.max && ci.calls >= 1+ci.lp%2 {
 		ci.kills++
@@ -144,8 +152,8 @@ func settledAt(t *testing.T, h []TimedValue, deadline int64, what string) circui
 // LP must reproduce the fault-free run's settled outputs bit for bit —
 // anything the checkpoint forgets to save or restore shows up as a
 // wrong settled value (or a Paranoid causality panic). Transient glitch
-// trains are not compared: they legitimately vary with goroutine
-// scheduling even without faults.
+// trains are not compared: they legitimately vary with slice scheduling
+// even without faults.
 func TestKillRestartBitExact(t *testing.T) {
 	for _, k := range []int{2, 3, 8} {
 		c := circuit.KoggeStone(16)
@@ -156,13 +164,13 @@ func TestKillRestartBitExact(t *testing.T) {
 		waves := randomWaves(c, 6, 5)
 		period := c.SettleTime() + 10
 
-		clean, err := Run(c, circuit.VectorWaves(c, waves, period), plan,
+		clean, err := runOn(c, circuit.VectorWaves(c, waves, period), plan,
 			Config{Record: true, Paranoid: true})
 		if err != nil {
 			t.Fatalf("k=%d clean run: %v", k, err)
 		}
 
-		faulty, err := Run(c, circuit.VectorWaves(c, waves, period), plan, Config{
+		faulty, err := runOn(c, circuit.VectorWaves(c, waves, period), plan, Config{
 			Record:   true,
 			Paranoid: true,
 			NewInterceptor: func(lp int) Interceptor {

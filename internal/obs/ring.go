@@ -12,8 +12,8 @@ type Kind uint8
 
 // Flight-recorder event kinds, covering the scheduler (task spawn /
 // steal / park), the LP transport (batch send / receive, null promise,
-// block-for-input), the fault-injection lifecycle (checkpoint, restart)
-// and the optimistic engines (commit, abort, rollback, BSP round).
+// slice), the fault-injection lifecycle (checkpoint, restart) and the
+// optimistic engines (commit, abort, rollback, BSP round).
 const (
 	EvNone       Kind = iota
 	EvSpawn           // task spawned; A = task index (-1 for closures), B = target worker (-1 local)
@@ -22,19 +22,19 @@ const (
 	EvSend            // LP batch shipped; A = destination LP, B = batch length
 	EvRecv            // LP batch applied; A = batch length
 	EvNull            // standalone null promise sent; A = destination LP, B = promised bound
-	EvBlock           // LP blocked waiting for input
+	_                 // reserved: LP block-for-input, which no transport records any more
 	EvCheckpoint      // LP checkpoint taken; A = owned nodes
 	EvRestart         // LP restored from checkpoint; A = restart count
 	EvCommit          // speculative activity committed; A = item
 	EvAbort           // speculative activity aborted; A = item
 	EvRollback        // Time Warp rollback; A = node, B = events undone
 	EvRound           // Time Warp BSP round barrier; A = round, B = GVT
-	EvSlice           // fused-LP run-to-completion slice; A = events processed, B = safe horizon
+	EvSlice           // LP run-to-completion slice; A = events processed, B = safe horizon
 )
 
 var kindNames = [...]string{
 	EvNone: "none", EvSpawn: "spawn", EvSteal: "steal", EvPark: "park",
-	EvSend: "lp-send", EvRecv: "lp-recv", EvNull: "lp-null", EvBlock: "lp-block",
+	EvSend: "lp-send", EvRecv: "lp-recv", EvNull: "lp-null",
 	EvCheckpoint: "checkpoint", EvRestart: "restart",
 	EvCommit: "commit", EvAbort: "abort", EvRollback: "rollback", EvRound: "round",
 	EvSlice: "lp-slice",

@@ -154,7 +154,7 @@ func TestConcurrentDrainWhileRecording(t *testing.T) {
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		EvSpawn: "spawn", EvSteal: "steal", EvPark: "park",
-		EvSend: "lp-send", EvRecv: "lp-recv", EvNull: "lp-null", EvBlock: "lp-block",
+		EvSend: "lp-send", EvRecv: "lp-recv", EvNull: "lp-null", EvSlice: "lp-slice",
 		EvCheckpoint: "checkpoint", EvRestart: "restart",
 		EvCommit: "commit", EvAbort: "abort", EvRollback: "rollback", EvRound: "round",
 		EvNone: "none", Kind(200): "unknown",

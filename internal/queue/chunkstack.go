@@ -27,12 +27,15 @@ type chunk[T any] struct {
 // which matches the unordered-set iterator semantics the Galois-style
 // runtime needs.
 //
-// Chunks are never recycled across the shared stack: a popped chunk becomes
-// private to the popping worker and is dropped for the GC when drained.
-// Relying on the garbage collector this way is what makes the plain
-// compare-and-swap loop safe — the same chunk address cannot reappear at
-// the head while another thread still holds it, so the classic ABA failure
-// of Treiber stacks cannot occur.
+// Every chunk is published at most once: it is freshly allocated by the
+// Local that fills it, and a popped chunk stays private to the popping
+// Local until drained, then is dropped for the GC — never pushed back.
+// That, with the garbage collector keeping an address alive while any
+// popper still holds it, is what makes the plain compare-and-swap loop
+// safe: a chunk address cannot reappear at the head while a preempted
+// popper still holds a stale view of it, so the classic ABA failure of
+// Treiber stacks (a popper swinging the head to a successor that was
+// popped in between) cannot occur.
 type ChunkStack[T any] struct {
 	head atomic.Pointer[chunk[T]]
 	size atomic.Int64
@@ -88,10 +91,13 @@ func (cs *ChunkStack[T]) Push(x T) {
 func (cs *ChunkStack[T]) Size() int { return int(cs.size.Load()) }
 
 // Local is a per-worker buffer that batches pushes/pops against a shared
-// ChunkStack. A Local must be used by one goroutine at a time.
+// ChunkStack. A Local must be used by one goroutine at a time. It keeps
+// the chunk it fills (out, fresh, published by Push/Flush) apart from the
+// chunk it consumes (in, popped from the stack, never republished).
 type Local[T any] struct {
 	cs  *ChunkStack[T]
-	cur *chunk[T] // partially filled outgoing/incoming chunk
+	out *chunk[T] // partially filled outgoing chunk
+	in  *chunk[T] // partially drained incoming chunk
 }
 
 // NewLocal returns a per-worker view of cs.
@@ -99,59 +105,75 @@ func (cs *ChunkStack[T]) NewLocal() *Local[T] {
 	return &Local[T]{cs: cs}
 }
 
-// Push buffers x locally, publishing a chunk to the shared stack when the
-// buffer fills.
+// Push buffers x locally, publishing the outgoing chunk to the shared
+// stack when it fills.
 func (l *Local[T]) Push(x T) {
-	if l.cur == nil {
-		l.cur = new(chunk[T])
+	if l.out == nil {
+		l.out = new(chunk[T])
 	}
-	l.cur.items[l.cur.n] = x
-	l.cur.n++
-	if l.cur.n == chunkSize {
-		l.cs.pushChunk(l.cur)
-		l.cur = nil
+	l.out.items[l.out.n] = x
+	l.out.n++
+	if l.out.n == chunkSize {
+		l.cs.pushChunk(l.out)
+		l.out = nil
 	}
 }
 
-// Pop returns one item, preferring the local buffer and falling back to
-// taking a chunk from the shared stack. It reports false when both are
-// empty (other workers may still hold buffered items).
+// Pop returns one item: the most recently pushed unpublished one first,
+// then the rest of the incoming chunk, then a fresh chunk taken from the
+// shared stack. It reports false when all three are empty (other workers
+// may still hold buffered items).
 func (l *Local[T]) Pop() (T, bool) {
-	var zero T
+	if x, ok := takeLast(&l.out); ok {
+		return x, true
+	}
 	for {
-		if l.cur != nil {
-			if l.cur.n > 0 {
-				l.cur.n--
-				x := l.cur.items[l.cur.n]
-				l.cur.items[l.cur.n] = zero
-				if l.cur.n == 0 {
-					l.cur = nil
-				}
-				return x, true
-			}
-			l.cur = nil
+		if x, ok := takeLast(&l.in); ok {
+			return x, true
 		}
-		c := l.cs.popChunk()
-		if c == nil {
+		if l.in = l.cs.popChunk(); l.in == nil {
+			var zero T
 			return zero, false
 		}
-		l.cur = c
 	}
 }
 
-// Flush publishes any locally buffered items to the shared stack so other
-// workers can observe them.
+// takeLast removes the last item of *c, dropping the chunk once empty.
+func takeLast[T any](c **chunk[T]) (T, bool) {
+	var zero T
+	k := *c
+	if k == nil || k.n == 0 {
+		*c = nil
+		return zero, false
+	}
+	k.n--
+	x := k.items[k.n]
+	k.items[k.n] = zero
+	if k.n == 0 {
+		*c = nil
+	}
+	return x, true
+}
+
+// Flush publishes the locally pushed items to the shared stack so other
+// workers can observe them. Items left in a popped chunk stay private:
+// the chunk is never republished (see ChunkStack), and its owner drains
+// them with Pop.
 func (l *Local[T]) Flush() {
-	if l.cur != nil && l.cur.n > 0 {
-		l.cs.pushChunk(l.cur)
-		l.cur = nil
+	if l.out != nil && l.out.n > 0 {
+		l.cs.pushChunk(l.out)
+		l.out = nil
 	}
 }
 
-// Buffered reports how many items sit in the private buffer.
+// Buffered reports how many items sit in the private buffers.
 func (l *Local[T]) Buffered() int {
-	if l.cur == nil {
-		return 0
+	n := 0
+	if l.out != nil {
+		n += l.out.n
 	}
-	return l.cur.n
+	if l.in != nil {
+		n += l.in.n
+	}
+	return n
 }

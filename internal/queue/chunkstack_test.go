@@ -3,6 +3,7 @@ package queue
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestChunkStackSingleThread(t *testing.T) {
@@ -145,6 +146,62 @@ func TestChunkStackConcurrent(t *testing.T) {
 	}
 	if count != total {
 		t.Fatalf("delivered %d items, want %d", count, total)
+	}
+}
+
+// TestChunkStackRepublishConserves is the regression test for the Treiber
+// ABA: workers pop a token, push it straight back and flush it — the
+// requeue pattern of galois workers — so chunks cycle through the shared
+// head under contention. If a popped chunk could be republished, a popper
+// preempted between reading head/next and its CAS would swing the head to
+// a chunk popped in between, losing or duplicating whole chunks. Every
+// token must come out exactly once.
+func TestChunkStackRepublishConserves(t *testing.T) {
+	const workers, tokens = 8, 8 * chunkSize
+	cs := NewChunkStack[int]()
+	seed := cs.NewLocal()
+	for i := 0; i < tokens; i++ {
+		seed.Push(i)
+	}
+	seed.Flush()
+
+	deadline := time.Now().Add(200 * time.Millisecond)
+	results := make(chan []int, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			l := cs.NewLocal()
+			for time.Now().Before(deadline) {
+				if x, ok := l.Pop(); ok {
+					l.Push(x)
+					l.Flush()
+				}
+			}
+			// Drain this worker's private chunk and whatever is still
+			// shared; the other workers drain concurrently.
+			var mine []int
+			for {
+				x, ok := l.Pop()
+				if !ok {
+					break
+				}
+				mine = append(mine, x)
+			}
+			results <- mine
+		}()
+	}
+	seen := make([]bool, tokens)
+	count := 0
+	for w := 0; w < workers; w++ {
+		for _, x := range <-results {
+			if seen[x] {
+				t.Fatalf("token %d came out twice", x)
+			}
+			seen[x] = true
+			count++
+		}
+	}
+	if count != tokens {
+		t.Fatalf("%d of %d tokens came out; the rest were lost", count, tokens)
 	}
 }
 

@@ -17,11 +17,11 @@ import (
 // reproducible at the CLI is reproducible through the service.
 type JobSpec struct {
 	Circuit string `json:"circuit"`           // cspec grammar, e.g. "koggestone-64"
-	Engine  string `json:"engine"`            // registry name, e.g. "hj" | "lp" | "seq"
+	Engine  string `json:"engine"`            // registry name, e.g. "hj" | "lp-hj" | "seq"
 	Waves   int    `json:"waves,omitempty"`   // random input waves (default 10)
 	Seed    int64  `json:"seed,omitempty"`    // stimulus seed (default 1)
 	Workers int    `json:"workers,omitempty"` // parallel engines (0 = GOMAXPROCS)
-	// Partitions is the lp engine's logical-process count (0 = workers).
+	// Partitions is the lp-hj engine's logical-process count (0 = workers).
 	Partitions int `json:"partitions,omitempty"`
 	// TimeoutMS bounds each supervised attempt; 0 applies the server's
 	// default so no job can wedge an executor forever.
@@ -31,7 +31,7 @@ type JobSpec struct {
 	Retries         int      `json:"retries,omitempty"`
 	Fallback        []string `json:"fallback,omitempty"`
 	CheckpointEvery int      `json:"checkpoint_every,omitempty"`
-	// Chaos is a fault-injection spec (chaos.ParseSpec grammar for the lp
+	// Chaos is a fault-injection spec (chaos.ParseSpec grammar for the lp-hj
 	// engine, chaos.ParseSchedSpec for the rest). Chaotic jobs always run
 	// on a private runtime, never a pooled one.
 	Chaos string `json:"chaos,omitempty"`

@@ -135,14 +135,13 @@ func (s *Server) executor(shard int) {
 // Trace and chaos wire per-run hooks into the runtime at construction,
 // and only the hj family (including the fused lp-hj and tw-hj engines,
 // whose clean runs leave the runtime quiescent) consults
-// Options.Runtime at all; hj-steal1 changes the runtime's steal
-// policy, so it builds its own.
+// Options.Runtime at all.
 func poolable(spec JobSpec) bool {
 	if spec.Trace || spec.Chaos != "" {
 		return false
 	}
 	switch spec.Engine {
-	case "hj", "hj-noaff", "lp-hj", "tw-hj":
+	case "hj", "lp-hj", "tw-hj":
 		return true
 	}
 	return false
@@ -180,21 +179,17 @@ func (s *Server) runJob(shard int, j *job) {
 		defer func() { s.pool.Put(rt) }()
 	}
 
-	// Engine construction mirrors dessim: lp chaos rides the message
-	// plane (inbox interceptors), everything else takes scheduler hooks.
+	// Engine construction mirrors dessim: lp-hj chaos rides the message
+	// plane (mailbox interceptors), everything else takes scheduler hooks.
 	var eng core.Engine
 	switch {
-	case j.spec.Chaos != "" && (j.spec.Engine == "lp" || j.spec.Engine == "lp-hj"):
+	case j.spec.Chaos != "" && j.spec.Engine == "lp-hj":
 		ccfg, err := chaos.ParseSpec(j.spec.Chaos)
 		if err != nil {
 			fail(err)
 			return
 		}
-		if j.spec.Engine == "lp-hj" {
-			eng = core.NewLPHJIntercepted(opts, chaos.New(ccfg).Factory())
-		} else {
-			eng = core.NewLPIntercepted(opts, chaos.New(ccfg).Factory())
-		}
+		eng = core.NewLPHJIntercepted(opts, chaos.New(ccfg).Factory())
 	case j.spec.Chaos != "":
 		ccfg, err := chaos.ParseSchedSpec(j.spec.Chaos)
 		if err != nil {

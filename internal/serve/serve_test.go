@@ -91,7 +91,7 @@ func TestServeJobsAcrossEngines(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	engines := []string{"seq", "hj", "lp", "galois", "actor", "timewarp"}
+	engines := []string{"seq", "hj", "lp-hj", "galois", "actor", "timewarp"}
 	ids := make(map[string]string, len(engines))
 	for _, eng := range engines {
 		ids[eng] = submitOK(t, ts, JobSpec{Circuit: "koggestone-16", Engine: eng, Waves: 4, Seed: 9, Workers: 2})
@@ -149,7 +149,7 @@ func TestServeMetricsMergeCorrectness(t *testing.T) {
 
 	const jobs = 24
 	ids := make([]string, 0, jobs)
-	engines := []string{"seq", "hj", "lp"}
+	engines := []string{"seq", "hj", "lp-hj"}
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	for i := 0; i < jobs; i++ {
