@@ -31,16 +31,42 @@ func (s *Stimulus) NumEvents() int {
 	return n
 }
 
+// StimulusError is Validate's structured rejection: which input and
+// which transition broke which rule.
+type StimulusError struct {
+	Input  int    // index into Circuit.Inputs; -1 when the shape is wrong
+	Index  int    // transition index within that input; -1 when not applicable
+	Reason string // the rule broken
+}
+
+func (e *StimulusError) Error() string {
+	switch {
+	case e.Input < 0:
+		return "stimulus: " + e.Reason
+	case e.Index < 0:
+		return fmt.Sprintf("stimulus: input %d: %s", e.Input, e.Reason)
+	}
+	return fmt.Sprintf("stimulus: input %d, transition %d: %s", e.Input, e.Index, e.Reason)
+}
+
 // Validate checks that s matches circuit c: one transition list per
-// input, each sorted by nondecreasing time.
+// input, each sorted by nondecreasing time, every time nonnegative (the
+// engines reserve negative clocks) and every value Low or High. A
+// violation is a *StimulusError.
 func (s *Stimulus) Validate(c *Circuit) error {
 	if len(s.ByInput) != len(c.Inputs) {
-		return fmt.Errorf("stimulus has %d input waves, circuit has %d inputs", len(s.ByInput), len(c.Inputs))
+		return &StimulusError{Input: -1, Index: -1,
+			Reason: fmt.Sprintf("%d input waves, circuit has %d inputs", len(s.ByInput), len(c.Inputs))}
 	}
 	for i, ts := range s.ByInput {
-		for j := 1; j < len(ts); j++ {
-			if ts[j].Time < ts[j-1].Time {
-				return fmt.Errorf("input %d: transitions out of order at index %d", i, j)
+		for j, tr := range ts {
+			switch {
+			case tr.Time < 0:
+				return &StimulusError{Input: i, Index: j, Reason: fmt.Sprintf("negative time %d", tr.Time)}
+			case tr.Value != Low && tr.Value != High:
+				return &StimulusError{Input: i, Index: j, Reason: fmt.Sprintf("value %d is neither Low nor High", tr.Value)}
+			case j > 0 && tr.Time < ts[j-1].Time:
+				return &StimulusError{Input: i, Index: j, Reason: "transitions out of order"}
 			}
 		}
 	}

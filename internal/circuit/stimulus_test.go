@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -48,14 +49,29 @@ func TestStimulusSet(t *testing.T) {
 
 func TestStimulusValidate(t *testing.T) {
 	c := FullAdder()
-	s := NewStimulus(c)
-	s.ByInput[0] = []Transition{{10, 1}, {5, 0}} // out of order
-	if err := s.Validate(c); err == nil {
-		t.Fatal("Validate accepted out-of-order transitions")
+	cases := []struct {
+		name         string
+		byInput      [][]Transition
+		input, index int
+	}{
+		{"out of order", [][]Transition{{{10, 1}, {5, 0}}, nil, nil}, 0, 1},
+		{"negative time", [][]Transition{nil, {{-1, 1}}, nil}, 1, 0},
+		{"value neither Low nor High", [][]Transition{nil, nil, {{0, 0}, {3, 2}}}, 2, 1},
+		{"wrong wave count", [][]Transition{nil}, -1, -1},
 	}
-	bad := &Stimulus{ByInput: make([][]Transition, 1)}
-	if err := bad.Validate(c); err == nil {
-		t.Fatal("Validate accepted wrong wave count")
+	for _, tc := range cases {
+		err := (&Stimulus{ByInput: tc.byInput}).Validate(c)
+		var se *StimulusError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: err = %v, want a *StimulusError", tc.name, err)
+		}
+		if se.Input != tc.input || se.Index != tc.index {
+			t.Fatalf("%s: error at input %d index %d, want %d/%d (%v)", tc.name, se.Input, se.Index, tc.input, tc.index, err)
+		}
+	}
+	ok := &Stimulus{ByInput: [][]Transition{{{0, Low}, {0, High}}, {{0, High}}, nil}}
+	if err := ok.Validate(c); err != nil {
+		t.Fatalf("valid stimulus rejected: %v", err)
 	}
 }
 

@@ -111,3 +111,19 @@ func BenchmarkLPHJK64(b *testing.B) { benchLPHJ(b, Options{Workers: 4, Partition
 func BenchmarkLPHJK64NoAff(b *testing.B) {
 	benchLPHJ(b, Options{Workers: 4, Partitions: 64, NoAffinity: true})
 }
+
+// BenchmarkHJCheckpointedKS64 is a checkpointed hj run (koggestone-64 ×
+// 50 waves, a segment per settle boundary): every segment is a run of its
+// own, so allocs/op shows what hj rebuilds per run, times 50.
+func BenchmarkHJCheckpointedKS64(b *testing.B) {
+	c := circuit.KoggeStone(64)
+	stim := circuit.RandomStimulus(c, 50, c.SettleTime()+10, 1)
+	e := NewHJ(Options{Workers: 2, DiscardOutputs: true, CheckpointEvery: 1}).(Checkpointer)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.RunFrom(nil, c, stim, NewCheckpointStore()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -32,6 +32,12 @@ type hjEngine struct {
 	opts Options
 	name string
 	rt   atomic.Pointer[hj.Runtime] // current run's runtime, for Progress
+	// cache holds the scaffolding of the last cleanly finished run, for
+	// the next run of the same circuit at the same worker count. A run
+	// checks it out with Swap(nil), so no two runs share one, and puts it
+	// back only after a clean completion: after an error, panic, cancel
+	// or stall a task may still hold its locks or touch its nodes.
+	cache atomic.Pointer[hjRun]
 }
 
 // NewHJ returns the paper's parallel engine. The zero Options value gives
@@ -115,7 +121,8 @@ type hjRun struct {
 	// queues are already cached — and two tasks racing for the same locks
 	// tend to serialize on one worker instead of respawning.
 	home []int32
-	// bufs are per-worker ready-event buffers, indexed by WorkerID.
+	// bufs are per-worker ready-event buffers, indexed by WorkerID; they
+	// keep their capacity across cached runs.
 	bufs [][]portEvent
 }
 
@@ -144,18 +151,6 @@ func (e *hjEngine) RunFrom(ctx context.Context, c *circuit.Circuit, stim *circui
 
 func (e *hjEngine) run(ctx context.Context, c *circuit.Circuit, stim *circuit.Stimulus, rs *ResumeState, capture bool) (*Result, ResumeState, error) {
 	start := time.Now()
-	s, err := newSimState(c, stim, e.opts)
-	if err != nil {
-		return nil, ResumeState{}, err
-	}
-	s.seedResume(rs)
-	if !e.opts.GlobalIsolated {
-		s.initLocks(e.opts.PerNodeLocks, e.opts.MutexLocks)
-	}
-	r := &hjRun{s: s, eng: e, record: !e.opts.DiscardOutputs}
-	r.body = r.runNodeIdx
-	r.buildPlans()
-
 	cfg := hj.Config{Workers: e.opts.workers(), Trace: e.opts.Trace}
 	if e.opts.SingleSteal {
 		cfg.StealMax = 1
@@ -172,20 +167,13 @@ func (e *hjEngine) run(ctx context.Context, c *circuit.Circuit, stim *circuit.St
 		rt = hj.NewRuntime(cfg)
 		defer rt.Shutdown()
 	}
-	e.rt.Store(rt)
-	r.bufs = make([][]portEvent, rt.NumWorkers())
-	// Locality-aware wakeups: partition the circuit K ways (K = workers)
-	// and pin each node's tasks to its partition's worker. The
-	// partitioner is deterministic and O(edges), a negligible one-time
-	// cost next to the millions of events a run processes.
-	if w := rt.NumWorkers(); w > 1 && !e.opts.NoAffinity {
-		if plan, perr := partition.Partition(c, w); perr == nil {
-			r.home = make([]int32, len(s.nodes))
-			for id, p := range plan.Assign {
-				r.home[id] = int32(p)
-			}
-		}
+	r, err := e.checkout(c, stim, rt.NumWorkers())
+	if err != nil {
+		return nil, ResumeState{}, err
 	}
+	s := r.s
+	s.seedResume(rs)
+	e.rt.Store(rt)
 	before := rt.Stats()
 
 	// Propagate external cancellation into the runtime; the watcher is
@@ -240,7 +228,7 @@ func (e *hjEngine) run(ctx context.Context, c *circuit.Circuit, stim *circuit.St
 		final = s.captureResume()
 	}
 	// Clean completion: every task has run to completion inside Finish,
-	// so nothing can touch the event rings anymore.
+	// so nothing can touch the event rings or locks anymore.
 	s.release()
 	res := &Result{
 		Engine:      e.name,
@@ -251,16 +239,54 @@ func (e *hjEngine) run(ctx context.Context, c *circuit.Circuit, stim *circuit.St
 		Outputs:     s.outputs(),
 		HJ:          rt.Stats().Sub(before),
 	}
+	e.cache.Store(r)
 	res.FillMetrics(e.opts)
 	return res, final, nil
 }
 
+// checkout returns run scaffolding for c on w workers, reset for stim:
+// the cached scaffolding when it was built for the same circuit and
+// worker count, else a fresh build. Locks, plans and the affinity
+// partition are pure functions of (circuit, options, w); only the node
+// state's dynamic half changes between runs.
+func (e *hjEngine) checkout(c *circuit.Circuit, stim *circuit.Stimulus, w int) (*hjRun, error) {
+	if r := e.cache.Swap(nil); r != nil && r.s.c == c && len(r.bufs) == w {
+		if err := r.s.reset(stim); err != nil {
+			return nil, err
+		}
+		return r, nil
+	}
+	s, err := newSimState(c, stim, e.opts)
+	if err != nil {
+		return nil, err
+	}
+	if !e.opts.GlobalIsolated {
+		s.initLocks(e.opts.PerNodeLocks, e.opts.MutexLocks)
+	}
+	r := &hjRun{s: s, eng: e, record: !e.opts.DiscardOutputs, bufs: make([][]portEvent, w)}
+	r.body = r.runNodeIdx
+	r.buildPlans()
+	// Locality-aware wakeups: partition the circuit K ways (K = workers)
+	// and pin each node's tasks to its partition's worker. The
+	// partitioner is deterministic and O(edges), and cached with the
+	// rest of the scaffolding.
+	if w > 1 && !e.opts.NoAffinity {
+		if plan, perr := partition.Partition(c, w); perr == nil {
+			r.home = make([]int32, len(s.nodes))
+			for id, p := range plan.Assign {
+				r.home[id] = int32(p)
+			}
+		}
+	}
+	return r, nil
+}
+
 // buildPlans computes every node's ordered lock set and wake list. It is
-// O(nodes·fanout) on every run of a large circuit, so it avoids per-node
-// churn: wake-list dedup uses one reusable epoch-stamped slice instead of
-// a map per node, the wake lists and lock sets are carved out of three
-// slab allocations, and the (small) lock sets are insertion-sorted in
-// place rather than through sort.Slice's per-call closures.
+// O(nodes·fanout) on every run-cache miss, so it avoids per-node churn:
+// wake-list dedup uses one reusable epoch-stamped slice instead of a map
+// per node, the wake lists and lock sets are carved out of three slab
+// allocations, and the (small) lock sets are insertion-sorted in place
+// rather than through sort.Slice's per-call closures.
 func (r *hjRun) buildPlans() {
 	s := r.s
 	n := len(s.nodes)

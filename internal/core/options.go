@@ -183,9 +183,15 @@ func (o Options) storage() storageMode {
 }
 
 // Engine runs a logic-circuit simulation: circuit + stimulus in, Result
-// out. Implementations are stateless between runs (each Run builds fresh
-// node state), so one Engine value may be reused, but a single Engine
-// must not Run concurrently with itself.
+// out. One Engine value may be reused for any number of runs, but a
+// single Engine must not Run concurrently with itself. Results never
+// depend on earlier runs; an engine may keep per-run scaffolding that is
+// a pure function of the circuit and its options (hj caches its node
+// state, locks, lock plans, affinity partition and ready buffers; lp-hj
+// its partition plan) and reuse it when the next run has the same
+// circuit and worker count. Scaffolding is kept only after a clean
+// completion, never after an error, panic, cancellation or stall, when
+// an abandoned task may still hold it.
 type Engine interface {
 	// Name identifies the engine (and its options) for reports.
 	Name() string

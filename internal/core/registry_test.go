@@ -5,21 +5,40 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
+
+// registryRounds counts each registry test's invocations in this test
+// process. The registry has no Unregister, so under go test -count=N
+// every invocation after the first registers names suffixed with its
+// round; the first keeps the plain names (the registry-driven tests name
+// their rows after every registered engine).
+var registryRounds struct {
+	concurrent, dup atomic.Int32
+}
+
+// roundName is base in round 0 and base suffixed with the round after.
+func roundName(base string, round int32) string {
+	if round == 0 {
+		return base
+	}
+	return fmt.Sprintf("%s-r%d", base, round)
+}
 
 // TestRegistryConcurrentAccess hammers the engine registry from many
 // goroutines; run under -race this pins down the RWMutex guarantees of
 // RegisterEngine / NewEngine / EngineNames. Every writer registers a
 // distinct name: duplicate registration is a panic, not a replacement.
 func TestRegistryConcurrentAccess(t *testing.T) {
+	round := registryRounds.concurrent.Add(1) - 1
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(3)
 		go func(writer int) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				RegisterEngine(fmt.Sprintf("scratch-%d-%d", writer, j), NewSequential)
+				RegisterEngine(roundName(fmt.Sprintf("scratch-%d-%d", writer, j), round), NewSequential)
 			}
 		}(i)
 		go func() {
@@ -45,7 +64,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 
 	// Registered names stay registered (the registry has no Unregister on
 	// purpose) and must resolve.
-	if _, err := NewEngine("scratch-0-0", Options{}); err != nil {
+	if _, err := NewEngine(roundName("scratch-0-0", round), Options{}); err != nil {
 		t.Fatalf("registered scratch engine did not resolve: %v", err)
 	}
 	if _, err := NewEngine("no-such-engine", Options{}); err == nil {
@@ -73,15 +92,16 @@ func TestRegisterEngineDuplicatePanics(t *testing.T) {
 		RegisterEngine(name, f)
 	}
 
-	RegisterEngine("registry-dup-probe", NewSequential)
-	mustPanic("registry-dup-probe", NewSequentialPQ, "already registered")
+	probe := roundName("registry-dup-probe", registryRounds.dup.Add(1)-1)
+	RegisterEngine(probe, NewSequential)
+	mustPanic(probe, NewSequentialPQ, "already registered")
 	// The built-in table is protected the same way.
 	mustPanic("hj", NewSequential, "already registered")
 	mustPanic("", NewSequential, "empty name")
 	mustPanic("registry-nil-probe", nil, "nil factory")
 
 	// The original registration survives the rejected duplicate.
-	eng, err := NewEngine("registry-dup-probe", Options{})
+	eng, err := NewEngine(probe, Options{})
 	if err != nil {
 		t.Fatalf("original registration lost: %v", err)
 	}

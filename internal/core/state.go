@@ -68,7 +68,6 @@ type nodeState struct {
 type simState struct {
 	c     *circuit.Circuit
 	mode  storageMode
-	opts  Options
 	nodes []nodeState
 }
 
@@ -81,10 +80,19 @@ func lessPortEvent(a, b portEvent) bool {
 
 // newSimState builds fresh runtime state for a run.
 func newSimState(c *circuit.Circuit, stim *circuit.Stimulus, opts Options) (*simState, error) {
-	if err := stim.Validate(c); err != nil {
+	s := buildSimState(c, opts)
+	if err := s.reset(stim); err != nil {
 		return nil, err
 	}
-	s := &simState{c: c, mode: opts.storage(), opts: opts, nodes: make([]nodeState, len(c.Nodes))}
+	return s, nil
+}
+
+// buildSimState allocates the static part of a run's state: nodes,
+// ports, fanout edges and (in heap mode) the per-node PQs. It depends on
+// the circuit and options only, so an engine may keep it across runs and
+// call reset before each one.
+func buildSimState(c *circuit.Circuit, opts Options) *simState {
+	s := &simState{c: c, mode: opts.storage(), nodes: make([]nodeState, len(c.Nodes))}
 	// Slab-allocate the per-node port and fanout arrays: two allocations
 	// for the whole circuit instead of two per node.
 	totalIn, totalOut := 0, 0
@@ -108,36 +116,61 @@ func newSimState(c *circuit.Circuit, stim *circuit.Stimulus, opts Options) (*sim
 		ns.paranoid = opts.Paranoid
 		ns.ports, portSlab = portSlab[:ns.numIn:ns.numIn], portSlab[ns.numIn:]
 		for p := range ns.ports {
-			ns.ports[p].clock = clockUnset
 			ns.ports[p].q.SetArena(&eventArena)
 		}
 		if s.mode == storePerNodeHeap && ns.numIn > 0 {
 			ns.heap = queue.NewHeap(lessPortEvent)
 		}
 	}
-	for i, id := range c.Inputs {
+	return s
+}
+
+// reset readies s for a run of stim: every node's dynamic state goes
+// back to its start-of-run value. The event queues must already be
+// empty (fresh, or released after a clean run). history is dropped, not
+// truncated: a previous Result's Outputs still alias it.
+func (s *simState) reset(stim *circuit.Stimulus) error {
+	if err := stim.Validate(s.c); err != nil {
+		return err
+	}
+	for i := range s.nodes {
+		ns := &s.nodes[i]
+		for p := range ns.ports {
+			ns.ports[p].clock = clockUnset
+		}
+		ns.inVal = [2]circuit.Value{}
+		ns.nullSent = false
+		ns.events, ns.arrivals = 0, 0
+		ns.history = nil
+		ns.scheduled.Store(false)
+	}
+	for i, id := range s.c.Inputs {
 		s.nodes[id].transitions = stim.ByInput[i]
 	}
-	return s, nil
+	return nil
 }
 
 // initLocks creates the HJ locks in node/port order, so hj.Lock IDs embed
 // the paper's livelock-avoiding acquisition order ("in the ascending
 // order of the node IDs"). mutex selects the heavier mutex-backed locks
-// for the Section 4.5.2 ablation.
+// for the Section 4.5.2 ablation. The locks come from one slab.
 func (s *simState) initLocks(perNode, mutex bool) {
-	newLock := hj.NewLock
-	if mutex {
-		newLock = hj.NewMutexLock
+	n := len(s.nodes)
+	if !perNode {
+		n = 0
+		for i := range s.nodes {
+			n += len(s.nodes[i].ports)
+		}
 	}
+	locks := hj.NewLocks(n, mutex)
 	for i := range s.nodes {
 		ns := &s.nodes[i]
 		if perNode {
-			ns.nodeLock = newLock()
+			ns.nodeLock, locks = &locks[0], locks[1:]
 			continue
 		}
 		for p := range ns.ports {
-			ns.ports[p].lock = newLock()
+			ns.ports[p].lock, locks = &locks[0], locks[1:]
 		}
 	}
 }

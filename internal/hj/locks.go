@@ -31,12 +31,28 @@ func NewLock() *Lock {
 	return &Lock{id: lockIDs.Add(1)}
 }
 
-// NewMutexLock returns a lock backed by a sync.Mutex (acquired with
-// TryLock, released with Unlock) — the heavier alternative the paper's
-// Section 4.5.2 argues against (its ReentrantLock analog). It exists for
-// the ablation benchmark comparing lock implementations.
-func NewMutexLock() *Lock {
-	return &Lock{id: lockIDs.Add(1), mu: new(sync.Mutex)}
+// NewLocks returns n fresh unheld locks in one slab with consecutive
+// ascending IDs, so lock i orders before lock i+1 — a caller that
+// creates its locks in its acquisition order keeps that order, at one
+// allocation instead of n. mutex selects locks backed by a sync.Mutex
+// (acquired with TryLock, released with Unlock; one more slab for the
+// mutexes) — the heavier alternative the paper's Section 4.5.2 argues
+// against (its ReentrantLock analog), kept for the ablation benchmark
+// comparing lock implementations.
+func NewLocks(n int, mutex bool) []Lock {
+	locks := make([]Lock, n)
+	first := lockIDs.Add(uint64(n)) - uint64(n) + 1
+	var mus []sync.Mutex
+	if mutex {
+		mus = make([]sync.Mutex, n)
+	}
+	for i := range locks {
+		locks[i].id = first + uint64(i)
+		if mutex {
+			locks[i].mu = &mus[i]
+		}
+	}
+	return locks
 }
 
 // tryAcquire attempts the underlying acquisition.

@@ -295,3 +295,47 @@ func TestIsolatedOversubscribed(t *testing.T) {
 		}
 	})
 }
+
+// TestNewLocksSlab pins the slab constructor's contract: consecutive
+// ascending IDs (callers create locks in their acquisition order), every
+// lock unheld, and both variants acquirable and releasable.
+func TestNewLocksSlab(t *testing.T) {
+	for _, mutex := range []bool{false, true} {
+		locks := NewLocks(5, mutex)
+		if len(locks) != 5 {
+			t.Fatalf("mutex=%v: %d locks, want 5", mutex, len(locks))
+		}
+		for i := range locks {
+			if i > 0 && locks[i].ID() != locks[i-1].ID()+1 {
+				t.Fatalf("mutex=%v: lock %d has ID %d after %d", mutex, i, locks[i].ID(), locks[i-1].ID())
+			}
+			if locks[i].Held() {
+				t.Fatalf("mutex=%v: fresh lock %d is held", mutex, i)
+			}
+			if (locks[i].mu != nil) != mutex {
+				t.Fatalf("mutex=%v: lock %d has mutex %v", mutex, i, locks[i].mu != nil)
+			}
+		}
+		if later := NewLock(); later.ID() <= locks[4].ID() {
+			t.Fatalf("mutex=%v: NewLock after the slab got ID %d <= %d", mutex, later.ID(), locks[4].ID())
+		}
+		withRuntime(t, 1, func(rt *Runtime) {
+			rt.Finish(func(ctx *Ctx) {
+				for i := range locks {
+					if !ctx.TryLock(&locks[i]) {
+						t.Errorf("mutex=%v: TryLock on free slab lock %d failed", mutex, i)
+					}
+				}
+				if ctx.TryLock(&locks[2]) {
+					t.Errorf("mutex=%v: held slab lock acquired twice", mutex)
+				}
+				ctx.ReleaseAllLocks()
+			})
+		})
+		for i := range locks {
+			if locks[i].Held() {
+				t.Fatalf("mutex=%v: lock %d still held after ReleaseAllLocks", mutex, i)
+			}
+		}
+	}
+}

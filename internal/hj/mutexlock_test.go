@@ -2,9 +2,12 @@ package hj
 
 import "testing"
 
+// newMutexLock returns one mutex-backed lock from a slab of one.
+func newMutexLock() *Lock { return &NewLocks(1, true)[0] }
+
 func TestMutexLockBasic(t *testing.T) {
 	withRuntime(t, 2, func(rt *Runtime) {
-		l := NewMutexLock()
+		l := newMutexLock()
 		rt.Finish(func(ctx *Ctx) {
 			if !ctx.TryLock(l) {
 				t.Error("TryLock on free mutex lock failed")
@@ -33,7 +36,7 @@ func TestMutexLockBasic(t *testing.T) {
 
 func TestMutexLockMutualExclusion(t *testing.T) {
 	withRuntime(t, 8, func(rt *Runtime) {
-		l := NewMutexLock()
+		l := newMutexLock()
 		counter := 0
 		const n = 5000
 		var body func(c *Ctx)
@@ -58,7 +61,7 @@ func TestMutexLockMutualExclusion(t *testing.T) {
 
 func TestMutexLockInIsolatedOn(t *testing.T) {
 	withRuntime(t, 4, func(rt *Runtime) {
-		locks := []*Lock{NewMutexLock(), NewMutexLock()}
+		locks := []*Lock{newMutexLock(), newMutexLock()}
 		counter := 0
 		rt.Finish(func(ctx *Ctx) {
 			for i := 0; i < 2000; i++ {
@@ -75,7 +78,7 @@ func TestMutexLockInIsolatedOn(t *testing.T) {
 
 func TestMutexLockIDsInterleaveWithCASLocks(t *testing.T) {
 	a := NewLock()
-	b := NewMutexLock()
+	b := newMutexLock()
 	c := NewLock()
 	if !(a.ID() < b.ID() && b.ID() < c.ID()) {
 		t.Fatalf("lock IDs not monotone: %d %d %d", a.ID(), b.ID(), c.ID())
